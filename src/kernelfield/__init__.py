@@ -58,7 +58,6 @@ from .stability import (
     StabilityReport,
     coupling_entropy,
     hessian,
-    hessian_gap,
     per_mode_margin,
     stability_report,
 )

@@ -26,16 +26,9 @@ import numpy as np
 from . import experiments, field, graph as graphmod, stability
 from .diagnostics import DEFAULT_ALARM_MARGIN, diagnostics_record
 from .errors import KernelFieldError, NumericalError
-from .experiments import EPS_GRID, EXP7_TOPOLOGIES, RUNNERS, _write_atomic
+from .experiments import EPS_GRID, RUNNERS, SWEEP_TARGETS, _write_atomic
 from .field import SourceSpec, WeightRule
 from .spectral import eig_symmetric, eigenbasis_to_csv
-
-# Stressed edges for the builtin sweep targets.
-_SWEEP_EDGES = {
-    "path": (2, 3),
-    "river": EXP7_TOPOLOGIES["river"][1],
-    "trunk": EXP7_TOPOLOGIES["trunk"][1],
-}
 
 
 def parse_graph_spec(spec: str) -> graphmod.Graph:
@@ -142,6 +135,10 @@ def cmd_reproduce(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     target = str(_setting(args, config, "graph", "path"))
+    if target not in SWEEP_TARGETS:
+        print(f"sweep needs a builtin graph ({', '.join(SWEEP_TARGETS)}), got {target!r}",
+              file=sys.stderr)
+        return 1
     eps_values = _setting(args, config, "eps_values", None)
     if eps_values is None:
         eps_values = list(EPS_GRID)
@@ -151,18 +148,8 @@ def cmd_sweep(args) -> int:
     eta = float(_setting(args, config, "eta", 0.05))
     out = str(_setting(args, config, "out", "."))
 
-    if target == "path":
-        base = graphmod.build_path(8)
-    elif target in ("river", "trunk"):
-        base = EXP7_TOPOLOGIES[target][0]()
-    else:
-        base = parse_graph_spec(target)
-        if target not in _SWEEP_EDGES:
-            print(f"sweep needs a builtin graph (path, river, trunk), got {target!r}",
-                  file=sys.stderr)
-            return 1
-    u, v = _SWEEP_EDGES[target]
-    records = experiments.sweep_graph(base, u, v, eps_values, coupled=coupled, eta=eta)
+    builder, (u, v) = SWEEP_TARGETS[target]
+    records = experiments.sweep_graph(builder(), u, v, eps_values, coupled=coupled, eta=eta)
     os.makedirs(out, exist_ok=True)
     prefix = f"sweep_{target}" + ("_coupled" if coupled else "")
     experiments._emit_sweep_files(records, out, prefix)
@@ -170,7 +157,7 @@ def cmd_sweep(args) -> int:
         flag = "" if r.converged else "  [not converged]"
         print(f"eps={r.eps:.6g} lambda1={r.lambda1:.6g} entropy={r.entropy:.6g} "
               f"delta_fiedler={r.delta_fiedler:.6g} coupling_entropy={r.coupling_entropy:.6g}{flag}")
-    return 0
+    return 0 if all(r.converged for r in records) else 2
 
 
 def cmd_graph(args) -> int:

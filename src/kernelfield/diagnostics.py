@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .spectral import eig_symmetric
+from .errors import DimensionMismatchError, DomainError
 
 DEFAULT_ALARM_MARGIN = 0.05  # nats
 
@@ -66,12 +65,19 @@ def fisher_rao_diag(h: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(fisher: np.ndarray) -> float:
-    """-Tr(I_hat ln I_hat) for the trace-normalized metric, with 0 ln 0 := 0."""
+    """-Tr(I_hat ln I_hat) for the trace-normalized diagonal metric, with 0 ln 0 := 0.
+
+    `fisher` is the diagonal, as returned by fisher_rao_diag. A diagonal
+    matrix has its diagonal as spectrum, so this is the Shannon entropy of
+    the normalized weights, summed in ascending order.
+    """
     fisher = np.asarray(fisher, dtype=float)
-    trace = float(np.trace(fisher))
+    if fisher.ndim != 1:
+        raise DimensionMismatchError(f"expected the metric's diagonal, got shape {fisher.shape}")
+    trace = float(fisher.sum())
     if trace <= 0:
-        raise DomainError("Fisher matrix must have positive trace")
-    nu = eig_symmetric(fisher / trace).lambdas
+        raise DomainError("Fisher metric must have positive trace")
+    nu = np.sort(fisher / trace)
     nu = nu[nu > 0]
     return float(-(nu * np.log(nu)).sum())
 
@@ -94,7 +100,7 @@ def diagnostics_record(h: np.ndarray, h0: np.ndarray, margin: float = DEFAULT_AL
     return DiagnosticsRecord(
         spectral_entropy=entropy,
         fisher_diag=fisher,
-        von_neumann_entropy=von_neumann_entropy(np.diag(fisher)),
+        von_neumann_entropy=von_neumann_entropy(fisher),
         threshold=threshold,
         alarm=bool(entropy < threshold - margin),
     )

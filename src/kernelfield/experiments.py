@@ -222,24 +222,34 @@ def run_exp5(out_dir: str | None = None) -> ExperimentResult:
     return result
 
 
+# Builtin sweep targets with their stressed edges: the 8-node path at edge
+# (2, 3), the river stem edge just past the first tributary, and the
+# mid-trunk edge.
+SWEEP_TARGETS = {
+    "path": (lambda: graph.build_path(8), (2, 3)),
+    "river": (lambda: graph.build_river_channel(6, [(1, 2), (3, 2)]), (1, 2)),
+    "trunk": (lambda: graph.build_trunk_roots(4, 3, 3), (1, 2)),
+}
+
+# Exp. 7 synthetic topologies.
+EXP7_TOPOLOGIES = {name: SWEEP_TARGETS[name] for name in ("river", "trunk")}
+
+
 def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
-                coupled: bool = False, eta: float = 0.05,
-                weight_rule: WeightRule = WeightRule.EIGENVALUE) -> list[SweepRecord]:
+                coupled: bool = False, eta: float = 0.05) -> list[SweepRecord]:
     """Weaken edge (u, v) over eps_values and re-solve the field equation each time.
 
-    The coupling matrix, when requested, is rebuilt per eps from the
-    perturbed adjacency. Rows that fail to converge are recorded with
-    converged=False, not raised.
+    The source has sigma2=1, mu2=2 and eigenvalue mode weights. The coupling
+    matrix, when requested, is rebuilt per eps from the perturbed adjacency.
+    Rows that fail to converge are recorded with converged=False, not raised.
     """
     records = []
     for eps in eps_values:
         g = graph.weaken_edge(base, u, v, eps)
         basis = eig_symmetric(graph.laplacian(g))
-        if coupled:
-            spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=weight_rule,
-                              eta=eta, coupling=field.build_coupling(basis, g))
-        else:
-            spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=weight_rule)
+        coupling = field.build_coupling(basis, g) if coupled else None
+        spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE,
+                          eta=eta if coupled else 0.0, coupling=coupling)
         report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
         srep = stability.stability_report(spec, basis, report.h_star)
         records.append(SweepRecord(
@@ -256,8 +266,9 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
 
 def run_sweep(eps_values=EPS_GRID, coupled: bool = False,
               out_dir: str | None = None, prefix: str = "sweep") -> list[SweepRecord]:
-    """Edge-weakening sweep on the 8-node path, edge (2, 3)."""
-    records = sweep_graph(graph.build_path(8), 2, 3, eps_values, coupled=coupled)
+    """Edge-weakening sweep on the builtin path target: 8 nodes, edge (2, 3)."""
+    builder, (u, v) = SWEEP_TARGETS["path"]
+    records = sweep_graph(builder(), u, v, eps_values, coupled=coupled)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _emit_sweep_files(records, out_dir, prefix)
@@ -340,14 +351,6 @@ def run_exp6b(out_dir: str | None = None) -> ExperimentResult:
                       for r in records],
           table_header=["eps", "lambda1", "entropy", "delta_fiedler", "coupling_entropy"])
     return result
-
-
-# Exp. 7 synthetic topologies with their stressed bridge edges: the stem
-# edge just past the first tributary, and the mid-trunk edge.
-EXP7_TOPOLOGIES = {
-    "river": (lambda: graph.build_river_channel(6, [(1, 2), (3, 2)]), (1, 2)),
-    "trunk": (lambda: graph.build_trunk_roots(4, 3, 3), (1, 2)),
-}
 
 
 def run_exp7(out_dir: str | None = None) -> ExperimentResult:

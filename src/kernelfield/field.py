@@ -47,6 +47,9 @@ class SourceSpec:
     coupling: np.ndarray | None = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sigma2, self.mu2, self.eta])):
+            raise DomainError(f"sigma2, mu2 and eta must be finite, got "
+                              f"{self.sigma2}, {self.mu2}, {self.eta}")
         if not self.sigma2 > 0:
             raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
         if self.mu2 < 0 or self.eta < 0:

@@ -1,7 +1,7 @@
 """Weighted undirected graphs and their unnormalized Laplacians.
 
 Graphs are immutable edge lists; Laplacians are materialized dense,
-which is fine at the desk scales this package targets (N <= 64).
+which is fine at the desk scales this package targets (N <= 128).
 """
 
 from __future__ import annotations

@@ -60,33 +60,17 @@ def hessian(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> np.n
 
 
 def per_mode_margin(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
-    """margin_l = J_ll + 1/h_l; positive means the mode is diagonally stable."""
-    jac = source_jacobian(spec, basis, kernel.h)
-    return np.diag(jac) + 1.0 / kernel.h
+    """margin_l = J_ll + 1/h_l = -H_ll; positive means the mode is diagonally stable."""
+    return -np.diag(hessian(spec, basis, kernel))
 
 
-def hessian_gap(hess: np.ndarray, lambdas: np.ndarray) -> tuple[float, float]:
-    """(Delta, Delta'): min eigenvalue of -sym(H), and min -H_ll over nonzero modes."""
-    sym = (hess + hess.T) / 2.0
-    eigs = eig_symmetric(-sym).lambdas
-    delta = float(eigs[0])
-    nonzero = lambdas > _ZERO_MODE_TOL
-    delta_fiedler = float(np.min(-np.diag(hess)[nonzero]))
-    return delta, delta_fiedler
-
-
-def coupling_entropy(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> float:
-    """Mean Shannon entropy of normalized off-diagonal Jacobian magnitudes.
-
-    Rows with no off-diagonal mass carry the maximal entropy ln(N-1),
-    the convention under which a strictly diagonal source reports the
-    maximum (no preferential coupling).
-    """
-    jac = np.abs(source_jacobian(spec, basis, kernel.h))
-    n = jac.shape[0]
+def _offdiag_row_entropy(mat: np.ndarray) -> float:
+    """coupling_entropy of any matrix whose off-diagonal magnitudes equal |J|."""
+    mag = np.abs(mat)
+    n = mag.shape[0]
     total = 0.0
     for l in range(n):
-        off = np.delete(jac[l], l)
+        off = np.delete(mag[l], l)
         mass = off.sum()
         if mass < _EMPTY_ROW_TOL:
             total += np.log(n - 1)
@@ -97,18 +81,31 @@ def coupling_entropy(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     return total / n
 
 
+def coupling_entropy(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> float:
+    """Mean Shannon entropy of normalized off-diagonal Jacobian magnitudes.
+
+    Rows with no off-diagonal mass carry the maximal entropy ln(N-1),
+    the convention under which a strictly diagonal source reports the
+    maximum (no preferential coupling).
+    """
+    return _offdiag_row_entropy(source_jacobian(spec, basis, kernel.h))
+
+
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
-    """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy."""
+    """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
+
+    One Jacobian and one eigendecomposition: the margins are -diag(H), the
+    gap Delta is -max eig sym(H), and off the diagonal |H_lm| = |J_lm|.
+    """
     hess = hessian(spec, basis, kernel)
-    sym = (hess + hess.T) / 2.0
-    eigs = eig_symmetric(sym).lambdas
-    delta, delta_fiedler = hessian_gap(hess, basis.lambdas)
+    eigs = eig_symmetric((hess + hess.T) / 2.0).lambdas
+    margins = -np.diag(hess)
     return StabilityReport(
         hessian=hess,
         eigenvalues=eigs,
-        margins=per_mode_margin(spec, basis, kernel),
-        hessian_gap=delta,
-        fiedler_gap=delta_fiedler,
-        coupling_entropy=coupling_entropy(spec, basis, kernel),
+        margins=margins,
+        hessian_gap=float(-eigs[-1]),
+        fiedler_gap=float(np.min(margins[basis.lambdas > _ZERO_MODE_TOL])),
+        coupling_entropy=_offdiag_row_entropy(hess),
         stable=bool(eigs[-1] < 0),
     )

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from kernelfield import experiments
 from kernelfield.cli import main, parse_graph_spec
 from kernelfield.errors import KernelFieldError
 from kernelfield.graph import build_path, build_river_channel, build_trunk_roots, weaken_edge
@@ -45,6 +47,13 @@ def test_solve_nonconvergence_exit_2(tmp_path):
     code = main(["solve", "--graph", "path:8", "--max-iter", "2",
                  "--tol", "1e-14", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--mu2", "nan"), ("--sigma2", "inf"), ("--eta", "nan")])
+def test_solve_nonfinite_parameter_exit_1(tmp_path, capsys, flag, value):
+    assert main(["solve", "--graph", "path:8", flag, value, "--out", str(tmp_path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "fixed_point.json").exists()
 
 
 def test_solve_missing_graph_file(tmp_path, capsys):
@@ -106,3 +115,18 @@ def test_graph_dump(tmp_path, capsys):
     assert len(csv.strip().split("\n")) == 8
     with open(tmp_path / "graph.json") as fh:
         assert json.load(fh)["n"] == 8
+
+
+def test_sweep_nonconvergence_exit_2(tmp_path, capsys, monkeypatch):
+    solve = experiments.field.solve_fixed_point
+    monkeypatch.setattr(experiments.field, "solve_fixed_point", functools.partial(solve, max_iter=2))
+    assert main(["sweep", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 5 and all(line.endswith("[not converged]") for line in lines)
+
+
+def test_sweep_rejects_non_builtin_graph_before_reading_it(tmp_path, capsys):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text("not json")  # would raise a parse error if it were read
+    assert main(["sweep", "--graph", str(graph_file), "--out", str(tmp_path)]) == 1
+    assert "builtin graph" in capsys.readouterr().err

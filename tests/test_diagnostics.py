@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
+    DimensionMismatchError,
     DomainError,
     diagnostics_record,
     fisher_rao_diag,
@@ -56,24 +57,37 @@ def test_fisher_rao_scale_covariance(h):
 
 
 def test_von_neumann_equal_diagonal():
-    assert von_neumann_entropy(np.eye(8) * 0.3) == pytest.approx(np.log(8), abs=1e-10)
+    assert von_neumann_entropy(np.full(8, 0.3)) == pytest.approx(np.log(8), abs=1e-10)
 
 
 def test_von_neumann_from_two_weights():
     # h = (1, 2) -> I = diag(0.5, 0.125) -> normalized (0.8, 0.2)
-    ent = von_neumann_entropy(np.diag(fisher_rao_diag(np.array([1.0, 2.0]))))
+    ent = von_neumann_entropy(fisher_rao_diag(np.array([1.0, 2.0])))
     assert ent == pytest.approx(0.5004024235381879, abs=1e-10)
 
 
 def test_von_neumann_rank_one():
-    mat = np.zeros((4, 4))
-    mat[0, 0] = 2.0
-    assert von_neumann_entropy(mat) == pytest.approx(0.0, abs=1e-12)
+    assert von_neumann_entropy(np.array([2.0, 0.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_von_neumann_zero_trace():
     with pytest.raises(DomainError):
-        von_neumann_entropy(np.zeros((3, 3)))
+        von_neumann_entropy(np.zeros(3))
+
+
+def test_von_neumann_rejects_a_matrix():
+    with pytest.raises(DimensionMismatchError):
+        von_neumann_entropy(np.eye(3))
+
+
+def test_von_neumann_keeps_a_weight_below_1e_10():
+    # h = (1, 1e6) -> normalized Fisher weights (1 - 1e-12, 1e-12); the
+    # small weight still contributes its -p ln p of about 2.9e-11 nats.
+    fisher = fisher_rao_diag(np.array([1.0, 1e6]))
+    p = fisher / fisher.sum()
+    assert p.min() < 1e-10
+    assert von_neumann_entropy(fisher) == -(p[1] * np.log(p[1]) + p[0] * np.log(p[0]))
+    assert von_neumann_entropy(fisher) > 2e-11
 
 
 def test_von_neumann_vs_spectral_entropy_differ():
@@ -81,7 +95,7 @@ def test_von_neumann_vs_spectral_entropy_differ():
     # entropy of the normalized 1/h^2 vector, which is generally NOT the
     # spectral entropy of h itself.
     h = np.array([1.0, 2.0, 3.0, 4.0])
-    vn = von_neumann_entropy(np.diag(fisher_rao_diag(h)))
+    vn = von_neumann_entropy(fisher_rao_diag(h))
     inv2 = 1.0 / h**2
     shannon = spectral_entropy(inv2)
     assert vn == pytest.approx(shannon, abs=1e-10)

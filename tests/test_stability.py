@@ -15,7 +15,6 @@ from kernelfield import (
     coupling_entropy,
     eig_symmetric,
     hessian,
-    hessian_gap,
     laplacian,
     per_mode_margin,
     solve_fixed_point,
@@ -69,19 +68,17 @@ def test_margins(p8, exp2_state):
 def test_fiedler_margin_in_eigenvalue_aware_sweep(p8):
     spec = SourceSpec(weight_rule=WeightRule.EIGENVALUE)
     report = solve_fixed_point(spec, p8, np.ones(8))
-    _, delta_fiedler = hessian_gap(hessian(spec, p8, report.h_star), p8.lambdas)
-    assert abs(delta_fiedler - 2.962) <= 5e-3
+    assert abs(stability_report(spec, p8, report.h_star).fiedler_gap - 2.962) <= 5e-3
 
 
 def test_hessian_gap_values(p8, exp2_state):
     spec, kernel = exp2_state
-    delta, delta_fiedler = hessian_gap(hessian(spec, p8, kernel), p8.lambdas)
-    assert abs(delta - 5.71) <= 0.01
-    assert abs(delta_fiedler - 5.71) <= 0.01
-    vac_delta, vac_fiedler = hessian_gap(
-        hessian(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8))), p8.lambdas)
-    assert abs(vac_delta - np.e) <= 1e-10
-    assert abs(vac_fiedler - np.e) <= 1e-12
+    rep = stability_report(spec, p8, kernel)
+    assert abs(rep.hessian_gap - 5.71) <= 0.01
+    assert abs(rep.fiedler_gap - 5.71) <= 0.01
+    vac = stability_report(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8)))
+    assert abs(vac.hessian_gap - np.e) <= 1e-10
+    assert abs(vac.fiedler_gap - np.e) <= 1e-12
 
 
 def test_coupling_entropy_diagonal_source(p8, exp2_state):
@@ -130,8 +127,14 @@ def test_stability_report_coupled(p8):
     report = solve_fixed_point(spec, p8, np.ones(8))
     rep = stability_report(spec, p8, report.h_star)
     sym = (rep.hessian + rep.hessian.T) / 2
+    assert np.max(np.abs(sym - np.diag(np.diag(sym)))) > 1e-3  # dense case
     assert np.allclose(rep.eigenvalues, np.sort(np.linalg.eigvalsh(sym)), atol=1e-9)
     assert rep.stable == (rep.eigenvalues[-1] < 0)
+    assert rep.hessian_gap == pytest.approx(-np.max(np.linalg.eigvalsh(sym)), abs=1e-9)
+    assert np.array_equal(rep.margins, -np.diag(rep.hessian))
+    assert np.array_equal(rep.margins, per_mode_margin(spec, p8, report.h_star))
+    assert rep.fiedler_gap == np.min(rep.margins[1:])  # P8 has one zero mode
+    assert rep.coupling_entropy == coupling_entropy(spec, p8, report.h_star)
 
 
 @settings(max_examples=25, deadline=None)
