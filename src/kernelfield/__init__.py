@@ -56,9 +56,7 @@ from .spectral import (
 )
 from .stability import (
     StabilityReport,
-    coupling_entropy,
     hessian,
-    per_mode_margin,
     stability_report,
 )
 

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: solve (single fixed-point run), reproduce (experiment
-runners), sweep (edge-weakening driver), graph (dump Laplacian and
-spectrum). Exit codes are the machine contract: 0 success, 1 input
-error, 2 numerical non-convergence. All artifact files are written
-atomically (temp file + rename).
+runners), sweep (experiments.run_sweep on a builtin target), graph (dump
+Laplacian and spectrum). Exit codes are the machine contract: 0 success,
+1 input error (usage errors included), 2 numerical non-convergence. All
+artifact files are written atomically (temp file + rename).
 
 Builtin graph mini-grammar:
     path:N
@@ -26,7 +26,7 @@ import numpy as np
 from . import experiments, field, graph as graphmod, stability
 from .diagnostics import DEFAULT_ALARM_MARGIN, diagnostics_record
 from .errors import KernelFieldError, NumericalError
-from .experiments import EPS_GRID, RUNNERS, SWEEP_TARGETS, _write_atomic
+from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import SourceSpec, WeightRule
 from .spectral import eig_symmetric, eigenbasis_to_csv
 
@@ -132,27 +132,25 @@ def cmd_reproduce(args) -> int:
     return 0 if all_passed else 2
 
 
+def _eps_values(raw) -> list[float]:
+    """A comma-separated string (flag or config) or a non-empty JSON list of numbers."""
+    if isinstance(raw, str):
+        return [float(x) for x in raw.split(",")]
+    if not (isinstance(raw, (list, tuple)) and raw and all(type(x) in (int, float) for x in raw)):
+        raise KernelFieldError(f"eps_values must be a non-empty list of numbers, got {raw!r}")
+    return [float(x) for x in raw]
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     target = str(_setting(args, config, "graph", "path"))
-    if target not in SWEEP_TARGETS:
-        print(f"sweep needs a builtin graph ({', '.join(SWEEP_TARGETS)}), got {target!r}",
-              file=sys.stderr)
-        return 1
-    eps_values = _setting(args, config, "eps_values", None)
-    if eps_values is None:
-        eps_values = list(EPS_GRID)
-    elif isinstance(eps_values, str):
-        eps_values = [float(x) for x in eps_values.split(",")]
-    coupled = bool(_setting(args, config, "coupled", False))
-    eta = float(_setting(args, config, "eta", 0.05))
-    out = str(_setting(args, config, "out", "."))
-
-    builder, (u, v) = SWEEP_TARGETS[target]
-    records = experiments.sweep_graph(builder(), u, v, eps_values, coupled=coupled, eta=eta)
-    os.makedirs(out, exist_ok=True)
-    prefix = f"sweep_{target}" + ("_coupled" if coupled else "")
-    experiments._emit_sweep_files(records, out, prefix)
+    coupled = _setting(args, config, "coupled", False)
+    if not isinstance(coupled, bool):
+        raise KernelFieldError(f"coupled must be true or false, got {coupled!r}")
+    records = experiments.run_sweep(
+        target, _eps_values(_setting(args, config, "eps_values", EPS_GRID)), coupled=coupled,
+        eta=float(_setting(args, config, "eta", 0.05)),
+        out_dir=str(_setting(args, config, "out", ".")), prefix=f"sweep_{target}")
     for r in records:
         flag = "" if r.converged else "  [not converged]"
         print(f"eps={r.eps:.6g} lambda1={r.lambda1:.6g} entropy={r.entropy:.6g} "
@@ -172,9 +170,17 @@ def cmd_graph(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other input error; 2 means non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kernelfield", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="kernelfield", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the field equation on one graph")

@@ -35,14 +35,6 @@ class DiagnosticsRecord:
             "alarm": self.alarm,
         })
 
-    def to_csv_row(self) -> str:
-        return ",".join([
-            f"{self.spectral_entropy:.17g}",
-            f"{self.von_neumann_entropy:.17g}",
-            f"{self.threshold:.17g}",
-            str(int(self.alarm)),
-        ])
-
 
 def _check_positive(h: np.ndarray):
     if np.any(h <= 0):

@@ -1,20 +1,22 @@
 """Deterministic reproduction runners for the numbered experiments and the
 edge-weakening sweep driver.
 
-Every runner is pure computation plus optional artifact files; there is no
-randomness anywhere, so repeated runs are byte-identical.
+run_sweep is the one sweep driver: the CLI `sweep` command, exp6, exp6b and
+exp7 all call it. Every runner is pure computation plus optional artifact
+files; there is no randomness anywhere, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from . import field, graph, stability
 from .diagnostics import spectral_entropy
+from .errors import DomainError
 from .field import SourceSpec, WeightRule
 from .spectral import SpectralKernel, eig_symmetric, heat_kernel_weights
 
@@ -31,6 +33,9 @@ REFERENCE_SWEEP = (
 )
 
 HEAT_TAUS = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+# SweepRecord scalars in table order: the sweep plotdata and the exp6/exp6b tables.
+_SWEEP_COLUMNS = ("eps", "lambda1", "entropy", "delta_fiedler", "coupling_entropy")
 
 
 @dataclass(frozen=True)
@@ -61,34 +66,35 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _emit(result: ExperimentResult, out_dir: str | None, table_rows: list[list] | None = None,
-          table_header: list[str] | None = None):
+def _write_csv(path: str, header: list[str], rows: list[list], fmt: str):
+    """Header line, then one line per row: floats in `fmt`, anything else by str."""
+    lines = [",".join(header)]
+    lines += [",".join(format(x, fmt) if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _emit(result: ExperimentResult, out_dir: str | None, table_rows: list[list],
+          table_header: list[str]):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{result.id}_results.json")
     _write_atomic(json_path, json.dumps(
         {"id": result.id, "passed": result.passed, "metrics": result.metrics}, indent=2))
-    result.artifacts.append(json_path)
-    if table_rows is not None:
-        csv_path = os.path.join(out_dir, f"{result.id}_table.csv")
-        lines = [",".join(table_header)] if table_header else []
-        for row in table_rows:
-            lines.append(",".join(f"{x:.6g}" if isinstance(x, float) else str(x) for x in row))
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
-        result.artifacts.append(csv_path)
+    csv_path = os.path.join(out_dir, f"{result.id}_table.csv")
+    _write_csv(csv_path, table_header, table_rows, ".6g")
+    result.artifacts += [json_path, csv_path]
 
 
-def _p8_setup(weight_rule: WeightRule = WeightRule.UNIFORM):
-    g = graph.build_path(8)
-    basis = eig_symmetric(graph.laplacian(g))
-    spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=weight_rule)
-    return g, basis, spec
+def _p8_setup():
+    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
+    return basis, SourceSpec(sigma2=1.0, mu2=2.0)
 
 
 def run_exp1(out_dir: str | None = None) -> ExperimentResult:
     """Gradient check: analytic geometric response vs central finite differences."""
-    _, basis, _ = _p8_setup()
+    basis, _ = _p8_setup()
     h0 = np.ones(basis.n)
     kernel = SpectralKernel(h0.copy(), h0)
     analytic = field.geometric_R(kernel)
@@ -114,7 +120,7 @@ def run_exp1(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp2(out_dir: str | None = None) -> ExperimentResult:
     """Fixed-point convergence with the uniform-weight source."""
-    _, basis, spec = _p8_setup()
+    basis, spec = _p8_setup()
     report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
     h = report.h_star.h
     passed = (
@@ -139,7 +145,7 @@ def run_exp2(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp3(out_dir: str | None = None) -> ExperimentResult:
     """Vacuum solution ratio and geodesic log-linearity."""
-    _, basis, _ = _p8_setup()
+    basis, _ = _p8_setup()
     h0 = np.ones(basis.n)
     vac = field.vacuum_solution(h0)
     vac_err = float(np.max(np.abs(vac.h / h0 - np.exp(-1.0))))
@@ -168,7 +174,7 @@ def run_exp3(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp4(out_dir: str | None = None) -> ExperimentResult:
     """Hessian structure and stability margins at the uniform-source fixed point."""
-    _, basis, spec = _p8_setup()
+    basis, spec = _p8_setup()
     report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
     srep = stability.stability_report(spec, basis, report.h_star)
     off = srep.hessian - np.diag(np.diag(srep.hessian))
@@ -203,7 +209,7 @@ def run_exp4(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp5(out_dir: str | None = None) -> ExperimentResult:
     """Heat-kernel field-equation residuals over increasing diffusion time."""
-    _, basis, spec = _p8_setup()
+    basis, spec = _p8_setup()
     residuals = [field.residual_inf(spec, basis, heat_kernel_weights(basis, tau))
                  for tau in HEAT_TAUS]
     monotone = all(b > a for a, b in zip(residuals, residuals[1:]))
@@ -264,74 +270,66 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
     return records
 
 
-def run_sweep(eps_values=EPS_GRID, coupled: bool = False,
-              out_dir: str | None = None, prefix: str = "sweep") -> list[SweepRecord]:
-    """Edge-weakening sweep on the builtin path target: 8 nodes, edge (2, 3)."""
-    builder, (u, v) = SWEEP_TARGETS["path"]
-    records = sweep_graph(builder(), u, v, eps_values, coupled=coupled)
+def run_sweep(target: str = "path", eps_values=EPS_GRID, coupled: bool = False,
+              eta: float = 0.05, out_dir: str | None = None,
+              prefix: str = "sweep") -> list[SweepRecord]:
+    """Edge-weakening sweep on a builtin target, optionally written to out_dir.
+
+    With out_dir set, writes <prefix>[_coupled]_plotdata.csv (the columns and
+    their min-max normalizations) and <prefix>[_coupled]_records.json.
+
+    Raises:
+        DomainError: target is not one of SWEEP_TARGETS.
+    """
+    if target not in SWEEP_TARGETS:
+        raise DomainError(f"sweep needs a builtin graph ({', '.join(SWEEP_TARGETS)}), "
+                          f"got {target!r}")
+    builder, (u, v) = SWEEP_TARGETS[target]
+    records = sweep_graph(builder(), u, v, eps_values, coupled=coupled, eta=eta)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _emit_sweep_files(records, out_dir, prefix)
+        stem = os.path.join(out_dir, prefix + ("_coupled" if coupled else ""))
+        table = [_sweep_row(r) for r in records]
+        norms = zip(*(_normalize(col) for col in list(zip(*table))[1:]))
+        _write_csv(stem + "_plotdata.csv",
+                   [*_SWEEP_COLUMNS, *(f"{c}_norm" for c in _SWEEP_COLUMNS[1:])],
+                   [row + list(norm) for row, norm in zip(table, norms)], ".17g")
+        _write_atomic(stem + "_records.json", json.dumps(
+            [dict(asdict(r), h_star=list(r.h_star)) for r in records], indent=2))
     return records
 
 
-def _emit_sweep_files(records: list[SweepRecord], out_dir: str, prefix: str) -> list[str]:
-    cols = {
-        "eps": [r.eps for r in records],
-        "lambda1": [r.lambda1 for r in records],
-        "entropy": [r.entropy for r in records],
-        "delta_fiedler": [r.delta_fiedler for r in records],
-        "coupling_entropy": [r.coupling_entropy for r in records],
-    }
+def _sweep_row(rec: SweepRecord) -> list:
+    return [getattr(rec, c) for c in _SWEEP_COLUMNS]
 
-    def normalize(xs):
-        lo, hi = min(xs), max(xs)
-        if hi - lo == 0:
-            return [0.0 for _ in xs]
-        return [(x - lo) / (hi - lo) for x in xs]
 
-    header = list(cols) + [f"{k}_norm" for k in cols if k != "eps"]
-    lines = [",".join(header)]
-    norms = {k: normalize(v) for k, v in cols.items() if k != "eps"}
-    for i in range(len(records)):
-        row = [f"{cols[k][i]:.17g}" for k in cols]
-        row += [f"{norms[k][i]:.17g}" for k in norms]
-        lines.append(",".join(row))
-    plot_path = os.path.join(out_dir, f"{prefix}_plotdata.csv")
-    _write_atomic(plot_path, "\n".join(lines) + "\n")
-
-    json_path = os.path.join(out_dir, f"{prefix}_records.json")
-    _write_atomic(json_path, json.dumps([
-        {"eps": r.eps, "lambda1": r.lambda1, "h_star": list(r.h_star),
-         "entropy": r.entropy, "delta_fiedler": r.delta_fiedler,
-         "coupling_entropy": r.coupling_entropy, "converged": r.converged}
-        for r in records], indent=2))
-    return [plot_path, json_path]
+def _normalize(xs) -> list[float]:
+    lo, span = min(xs), max(xs) - min(xs)
+    return [(x - lo) / span if span else 0.0 for x in xs]
 
 
 def run_exp6(out_dir: str | None = None) -> ExperimentResult:
     """Reference-sweep reproduction with the eigenvalue-aware source."""
-    records = run_sweep(out_dir=out_dir, prefix="sweep")
-    rows, ok = [], True
-    for rec, (eps, lam1, ent, gap) in zip(records, REFERENCE_SWEEP):
+    records = run_sweep(out_dir=out_dir)
+    ok = True
+    for rec, (_, lam1, ent, gap) in zip(records, REFERENCE_SWEEP):
         d_lam = abs(rec.lambda1 - lam1)
         d_ent = abs(rec.entropy - ent)
         d_gap = abs(rec.delta_fiedler - gap)
         ok &= rec.converged and d_lam <= 2e-3 and d_ent <= 5e-3 and d_gap <= 5e-3
-        rows.append([eps, rec.lambda1, rec.entropy, rec.delta_fiedler, rec.coupling_entropy])
     result = ExperimentResult(
         id="exp6",
         passed=bool(ok),
         metrics={"rows": [[r.eps, r.lambda1, r.entropy, r.delta_fiedler] for r in records]},
     )
-    _emit(result, out_dir, table_rows=rows,
-          table_header=["eps", "lambda1", "entropy", "delta_fiedler", "coupling_entropy"])
+    _emit(result, out_dir, table_rows=[_sweep_row(r) for r in records],
+          table_header=list(_SWEEP_COLUMNS))
     return result
 
 
 def run_exp6b(out_dir: str | None = None) -> ExperimentResult:
     """Coupled-source sweep: coupling entropy becomes eps-dependent."""
-    records = run_sweep(coupled=True, out_dir=out_dir, prefix="sweep_coupled")
+    records = run_sweep(coupled=True, out_dir=out_dir)
     scoup = [r.coupling_entropy for r in records]
     entropy = [r.entropy for r in records]
     gaps = [r.delta_fiedler for r in records]
@@ -346,10 +344,8 @@ def run_exp6b(out_dir: str | None = None) -> ExperimentResult:
         metrics={"coupling_entropy": scoup, "coupling_entropy_range": scoup_range,
                  "entropy_nondecreasing": entropy_up, "gap_nonincreasing": gap_down},
     )
-    _emit(result, out_dir,
-          table_rows=[[r.eps, r.lambda1, r.entropy, r.delta_fiedler, r.coupling_entropy]
-                      for r in records],
-          table_header=["eps", "lambda1", "entropy", "delta_fiedler", "coupling_entropy"])
+    _emit(result, out_dir, table_rows=[_sweep_row(r) for r in records],
+          table_header=list(_SWEEP_COLUMNS))
     return result
 
 
@@ -359,9 +355,8 @@ def run_exp7(out_dir: str | None = None) -> ExperimentResult:
     passed = True
     rows = []
     drops = {}
-    for name, (builder, (u, v)) in EXP7_TOPOLOGIES.items():
-        base = builder()
-        records = sweep_graph(base, u, v, EPS_GRID)
+    for name in EXP7_TOPOLOGIES:
+        records = run_sweep(name)
         lam = [r.lambda1 for r in records]
         ent = [r.entropy for r in records]
         gap = [r.delta_fiedler for r in records]
@@ -371,7 +366,7 @@ def run_exp7(out_dir: str | None = None) -> ExperimentResult:
             "gap_nonincreasing": all(b <= a for a, b in zip(gap, gap[1:])),
         }
         passed &= all(checks.values()) and all(r.converged for r in records)
-        coupled = sweep_graph(base, u, v, EPS_GRID, coupled=True)
+        coupled = run_sweep(name, coupled=True)
         scoup = [r.coupling_entropy for r in coupled]
         drops[name] = scoup[0] - scoup[-1]
         metrics[name] = {"lambda1": lam, "entropy": ent, "delta_fiedler": gap,

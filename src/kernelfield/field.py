@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,13 +158,16 @@ def solve_fixed_point(
     exp overflow is raised.
 
     Raises:
-        DomainError: h0 not strictly positive or tol <= 0.
+        DomainError: h0 not strictly positive, tol not finite and positive,
+            or max_iter < 1.
         NumericalError: exp argument out of the binary64 range.
     """
     h0 = np.asarray(h0, dtype=float)
     _check_positive(h0)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     h = h0.copy()
     steps: list[float] = []
     converged = False

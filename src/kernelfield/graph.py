@@ -7,6 +7,7 @@ which is fine at the desk scales this package targets (N <= 128).
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ Edge = tuple[int, int, float]
 class Graph:
     """Weighted undirected graph with 0-based node indices.
 
-    Edges are stored as (u, v, w) triples with u != v and w > 0; each
-    unordered pair appears at most once.
+    Edges are stored as (u, v, w) triples with u != v and w finite and
+    positive; each unordered pair appears at most once.
     """
 
     n: int
@@ -41,8 +42,8 @@ class Graph:
             if key in seen:
                 raise InvalidGraphError(f"duplicate edge {key}")
             seen.add(key)
-            if not w > 0:
-                raise InvalidGraphError(f"edge {key} has nonpositive weight {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise InvalidGraphError(f"edge {key} weight must be finite and positive, got {w}")
 
     def edge_weight(self, u: int, v: int) -> float:
         key = (min(u, v), max(u, v))
@@ -68,10 +69,10 @@ def weaken_edge(g: Graph, u: int, v: int, eps: float) -> Graph:
 
     Raises:
         EdgeNotFoundError: if (u, v) is not an edge of g.
-        InvalidGraphError: if eps <= 0.
+        InvalidGraphError: if eps is not finite and positive.
     """
-    if not eps > 0:
-        raise InvalidGraphError(f"replacement weight must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise InvalidGraphError(f"replacement weight must be finite and positive, got {eps}")
     key = (min(u, v), max(u, v))
     edges = []
     found = False

@@ -39,7 +39,8 @@ class StabilityReport:
     stable: bool
     symmetrized: bool = True
 
-    def to_json(self, include_hessian: bool = True) -> str:
+    def to_json(self) -> str:
+        """The report; the Hessian itself only up to 64 modes."""
         obj = {
             "eigenvalues": list(self.eigenvalues),
             "margins": list(self.margins),
@@ -49,7 +50,7 @@ class StabilityReport:
             "stable": self.stable,
             "symmetrized": self.symmetrized,
         }
-        if include_hessian and self.hessian.shape[0] <= 64:
+        if self.hessian.shape[0] <= 64:
             obj["hessian"] = [list(row) for row in self.hessian]
         return json.dumps(obj)
 
@@ -59,13 +60,13 @@ def hessian(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> np.n
     return -np.diag(1.0 / kernel.h) - source_jacobian(spec, basis, kernel.h)
 
 
-def per_mode_margin(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
-    """margin_l = J_ll + 1/h_l = -H_ll; positive means the mode is diagonally stable."""
-    return -np.diag(hessian(spec, basis, kernel))
-
-
 def _offdiag_row_entropy(mat: np.ndarray) -> float:
-    """coupling_entropy of any matrix whose off-diagonal magnitudes equal |J|."""
+    """Mean Shannon entropy of the normalized off-diagonal magnitudes of each row.
+
+    Rows with no off-diagonal mass carry the maximal entropy ln(N-1), the
+    convention under which a strictly diagonal source reports the maximum
+    (no preferential coupling).
+    """
     mag = np.abs(mat)
     n = mag.shape[0]
     total = 0.0
@@ -81,21 +82,13 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
     return total / n
 
 
-def coupling_entropy(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> float:
-    """Mean Shannon entropy of normalized off-diagonal Jacobian magnitudes.
-
-    Rows with no off-diagonal mass carry the maximal entropy ln(N-1),
-    the convention under which a strictly diagonal source reports the
-    maximum (no preferential coupling).
-    """
-    return _offdiag_row_entropy(source_jacobian(spec, basis, kernel.h))
-
-
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
     """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
 
-    One Jacobian and one eigendecomposition: the margins are -diag(H), the
-    gap Delta is -max eig sym(H), and off the diagonal |H_lm| = |J_lm|.
+    One Jacobian and one eigendecomposition: the margins are
+    J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
+    the gap Delta is -max eig sym(H), and the coupling entropy is read off
+    H because off the diagonal |H_lm| = |J_lm|.
     """
     hess = hessian(spec, basis, kernel)
     eigs = eig_symmetric((hess + hess.T) / 2.0).lambdas

@@ -130,3 +130,62 @@ def test_sweep_rejects_non_builtin_graph_before_reading_it(tmp_path, capsys):
     graph_file.write_text("not json")  # would raise a parse error if it were read
     assert main(["sweep", "--graph", str(graph_file), "--out", str(tmp_path)]) == 1
     assert "builtin graph" in capsys.readouterr().err
+
+
+# Non-finite or out-of-range input is an input error, not a non-convergence.
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps-values", "inf"],
+    ["solve", "--graph", "path:8:weaken=2,3,inf"],
+    ["solve", "--graph", "{graph_file}"],
+    ["solve", "--graph", "path:8", "--tol", "inf"],
+    ["solve", "--graph", "path:8", "--max-iter", "0"],
+], ids=["sweep-eps-inf", "weaken-inf", "json-weight-infinity", "tol-inf", "max-iter-0"])
+def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, Infinity]]}')
+    out = tmp_path / "out"
+    argv = [str(graph_file) if a == "{graph_file}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--sigma2", "abc"], 1),
+    (["solve", "--weights", "bogus"], 1),
+    (["solve", "--no-such-flag"], 1),
+    (["sweep", "--coupled", "yes"], 1),
+    (["sweep", "--help"], 0),
+])
+def test_parser_exit_code(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert ("error:" in capsys.readouterr().err) == (code == 1)
+
+
+@pytest.mark.parametrize("setting", [
+    {"coupled": "false"},
+    {"coupled": 1},
+    {"eps_values": ["0.5"]},
+    {"eps_values": [0.5, True]},
+    {"eps_values": 0.5},
+    {"eps_values": []},
+], ids=["coupled-string", "coupled-int", "eps-string-entry", "eps-bool-entry", "eps-scalar",
+        "eps-empty"])
+def test_sweep_config_type_error_exit_1(tmp_path, capsys, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "out"), **setting}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_boolean_and_number_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": "trunk", "coupled": False, "eps_values": [1, 0.5],
+                               "out": str(tmp_path)}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "sweep_trunk_plotdata.csv", "sweep_trunk_records.json"]

@@ -130,4 +130,3 @@ def test_record_serialization():
     obj = json.loads(rec.to_json())
     assert obj["alarm"] is False
     assert len(obj["fisher_diag"]) == 8
-    assert rec.to_csv_row().count(",") == 3

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -132,3 +133,13 @@ def test_results_json_shape(tmp_path):
     assert obj["passed"] is True
     assert obj["metrics"]["stable"] is True
     assert res.artifacts
+
+
+def test_run_sweep_names_files_by_prefix_and_source(tmp_path):
+    records = ex.run_sweep("river", [1.0, 0.5], coupled=True, out_dir=str(tmp_path), prefix="x")
+    assert sorted(os.listdir(tmp_path)) == ["x_coupled_plotdata.csv", "x_coupled_records.json"]
+    with open(tmp_path / "x_coupled_records.json") as fh:
+        rows = json.load(fh)
+    assert [list(row) for row in rows] == [[f.name for f in fields(ex.SweepRecord)]] * 2
+    assert [row["coupling_entropy"] for row in rows] == [r.coupling_entropy for r in records]
+

@@ -9,15 +9,15 @@ from hypothesis.extra.numpy import arrays
 from kernelfield import (
     SourceSpec,
     SpectralKernel,
+    StabilityReport,
     WeightRule,
     build_coupling,
     build_path,
-    coupling_entropy,
     eig_symmetric,
     hessian,
     laplacian,
-    per_mode_margin,
     solve_fixed_point,
+    source_jacobian,
     stability_report,
     vacuum_solution,
 )
@@ -60,8 +60,8 @@ def test_coupled_hessian_offdiagonal(p8):
 
 def test_margins(p8, exp2_state):
     spec, kernel = exp2_state
-    assert np.allclose(per_mode_margin(spec, p8, kernel), 5.71, atol=0.01)
-    vac_margin = per_mode_margin(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8)))
+    assert np.allclose(stability_report(spec, p8, kernel).margins, 5.71, atol=0.01)
+    vac_margin = stability_report(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8))).margins
     assert np.allclose(vac_margin, np.e, atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_hessian_gap_values(p8, exp2_state):
 
 def test_coupling_entropy_diagonal_source(p8, exp2_state):
     spec, kernel = exp2_state
-    assert abs(coupling_entropy(spec, p8, kernel) - np.log(7)) <= 1e-9
+    assert abs(stability_report(spec, p8, kernel).coupling_entropy - np.log(7)) <= 1e-9
 
 
 def test_coupling_entropy_concentrated(p8):
@@ -93,7 +93,7 @@ def test_coupling_entropy_concentrated(p8):
         c[l, (l + 1) % 8] = 1.0
     spec = SourceSpec(eta=0.05, coupling=c)
     kernel = SpectralKernel(np.ones(8), np.ones(8))
-    assert coupling_entropy(spec, p8, kernel) == 0.0
+    assert stability_report(spec, p8, kernel).coupling_entropy == 0.0
 
 
 def test_coupling_entropy_bounds(p8):
@@ -102,7 +102,7 @@ def test_coupling_entropy_bounds(p8):
     rng = np.random.default_rng(13)
     for _ in range(20):
         kernel = SpectralKernel(rng.uniform(0.05, 4.0, size=8), np.ones(8))
-        s = coupling_entropy(spec, p8, kernel)
+        s = stability_report(spec, p8, kernel).coupling_entropy
         assert 0.0 <= s <= np.log(7) + 1e-12
 
 
@@ -132,9 +132,12 @@ def test_stability_report_coupled(p8):
     assert rep.stable == (rep.eigenvalues[-1] < 0)
     assert rep.hessian_gap == pytest.approx(-np.max(np.linalg.eigvalsh(sym)), abs=1e-9)
     assert np.array_equal(rep.margins, -np.diag(rep.hessian))
-    assert np.array_equal(rep.margins, per_mode_margin(spec, p8, report.h_star))
     assert rep.fiedler_gap == np.min(rep.margins[1:])  # P8 has one zero mode
-    assert rep.coupling_entropy == coupling_entropy(spec, p8, report.h_star)
+    # Read off H, the coupling entropy is that of |offdiag J|, row by row.
+    jac = np.abs(source_jacobian(spec, p8, report.h_star.h))
+    rows = [np.delete(jac[l], l) / np.delete(jac[l], l).sum() for l in range(8)]
+    assert rep.coupling_entropy == pytest.approx(
+        np.mean([-(p * np.log(p)).sum() for p in rows]), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,4 +159,13 @@ def test_report_json(p8, exp2_state):
     obj = json.loads(rep.to_json())
     assert obj["stable"] is True
     assert len(obj["hessian"]) == 8
-    assert "hessian" not in json.loads(rep.to_json(include_hessian=False))
+
+
+@pytest.mark.parametrize("n, written", [(64, True), (65, False)])
+def test_report_json_writes_hessian_up_to_64_modes(n, written):
+    rep = StabilityReport(hessian=-np.eye(n), eigenvalues=-np.ones(n), margins=np.ones(n),
+                          hessian_gap=1.0, fiedler_gap=1.0, coupling_entropy=np.log(n - 1),
+                          stable=True)
+    obj = json.loads(rep.to_json())
+    assert ("hessian" in obj) == written
+    assert len(obj["margins"]) == n
