@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import experiments, field, graph as graphmod, stability
-from .diagnostics import DEFAULT_ALARM_MARGIN, diagnostics_record
+from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
 from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import SourceSpec, WeightRule
@@ -76,18 +76,39 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)  # a JSON number; bool is not one
+
+
+# The JSON type a config field must have, as (description, test). Flag
+# values are typed by argparse instead.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("sigma2", "mu2", "eta", "tol"), ("a number", _is_number)),
+    "max_iter": ("an integer", lambda x: type(x) is int),
+    **dict.fromkeys(("graph", "out", "weights"), ("a string", lambda x: type(x) is str)),
+    "coupled": ("true or false", lambda x: type(x) is bool),
+    "eps_values": ("a comma-separated string or a non-empty list of numbers",
+                   lambda x: type(x) is str or (type(x) is list and x and all(map(_is_number, x)))),
+}
+
+
 def _setting(args, config: dict, key: str, default):
-    """CLI flag wins over config field wins over default."""
+    """CLI flag wins over config field (of the key's JSON type) wins over default."""
     val = getattr(args, key, None)
     if val is not None:
         return val
-    return config.get(key, default)
+    if key not in config:
+        return default
+    what, ok = _CONFIG_TYPES[key]
+    if not ok(config[key]):
+        raise KernelFieldError(f"config {key} must be {what}, got {config[key]!r}")
+    return config[key]
 
 
 def _make_spec(args, config, basis, g) -> SourceSpec:
     sigma2 = float(_setting(args, config, "sigma2", 1.0))
     mu2 = float(_setting(args, config, "mu2", 2.0))
-    weights = str(_setting(args, config, "weights", "uniform"))
+    weights = _setting(args, config, "weights", "uniform")
     eta = float(_setting(args, config, "eta", 0.0))
     rule = WeightRule(weights)
     coupling = field.build_coupling(basis, g) if eta > 0 else None
@@ -96,17 +117,17 @@ def _make_spec(args, config, basis, g) -> SourceSpec:
 
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
-    g = parse_graph_spec(str(_setting(args, config, "graph", "path:8")))
+    g = parse_graph_spec(_setting(args, config, "graph", "path:8"))
     basis = eig_symmetric(graphmod.laplacian(g))
     spec = _make_spec(args, config, basis, g)
     tol = float(_setting(args, config, "tol", 1e-12))
-    max_iter = int(_setting(args, config, "max_iter", 200))
-    out = str(_setting(args, config, "out", "."))
+    max_iter = _setting(args, config, "max_iter", 200)
+    out = _setting(args, config, "out", ".")
     os.makedirs(out, exist_ok=True)
 
     report = field.solve_fixed_point(spec, basis, np.ones(basis.n), tol=tol, max_iter=max_iter)
     srep = stability.stability_report(spec, basis, report.h_star)
-    drec = diagnostics_record(report.h_star.h, report.h_star.h0, margin=DEFAULT_ALARM_MARGIN)
+    drec = diagnostics_record(report.h_star.h, report.h_star.h0)
     _write_atomic(os.path.join(out, "fixed_point.json"), report.to_json())
     _write_atomic(os.path.join(out, "stability.json"), srep.to_json())
     _write_atomic(os.path.join(out, "diagnostics.json"), drec.to_json())
@@ -132,25 +153,22 @@ def cmd_reproduce(args) -> int:
     return 0 if all_passed else 2
 
 
-def _eps_values(raw) -> list[float]:
-    """A comma-separated string (flag or config) or a non-empty JSON list of numbers."""
-    if isinstance(raw, str):
-        return [float(x) for x in raw.split(",")]
-    if not (isinstance(raw, (list, tuple)) and raw and all(type(x) in (int, float) for x in raw)):
-        raise KernelFieldError(f"eps_values must be a non-empty list of numbers, got {raw!r}")
-    return [float(x) for x in raw]
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    target = str(_setting(args, config, "graph", "path"))
+    target = _setting(args, config, "graph", "path")
+    eps_values = _setting(args, config, "eps_values", EPS_GRID)
+    if isinstance(eps_values, str):
+        eps_values = eps_values.split(",")
     coupled = _setting(args, config, "coupled", False)
-    if not isinstance(coupled, bool):
-        raise KernelFieldError(f"coupled must be true or false, got {coupled!r}")
+    eta = _setting(args, config, "eta", None)
+    if eta is not None and not coupled:
+        raise KernelFieldError("--eta needs --coupled: eta is the mode-coupling strength")
+    if eta is not None and not eta > 0:
+        raise KernelFieldError(f"eta must be positive for a coupled sweep, got {eta!r}")
     records = experiments.run_sweep(
-        target, _eps_values(_setting(args, config, "eps_values", EPS_GRID)), coupled=coupled,
-        eta=float(_setting(args, config, "eta", 0.05)),
-        out_dir=str(_setting(args, config, "out", ".")), prefix=f"sweep_{target}")
+        target, [float(x) for x in eps_values], coupled=coupled,
+        eta=0.05 if eta is None else float(eta),
+        out_dir=_setting(args, config, "out", "."), prefix=f"sweep_{target}")
     for r in records:
         flag = "" if r.converged else "  [not converged]"
         print(f"eps={r.eps:.6g} lambda1={r.lambda1:.6g} entropy={r.entropy:.6g} "

@@ -392,7 +392,3 @@ RUNNERS = {
     "exp6b": run_exp6b,
     "exp7": run_exp7,
 }
-
-
-def run_all(out_dir: str | None = None) -> dict[str, ExperimentResult]:
-    return {name: runner(out_dir) for name, runner in RUNNERS.items()}

@@ -1,9 +1,13 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
-The eigensolver is a cyclic Jacobi sweep: dependency-free, deterministic,
-and accurate well past the 1e-9 residual budget at the matrix sizes used
-here. Eigenvectors follow a fixed sign convention so repeated runs are
-byte-identical.
+The eigensolver serves Laplacian bases only; a spectrum without vectors
+(the stability Hessian's) comes from numpy.linalg.eigvalsh. It is a cyclic
+Jacobi sweep: deterministic, and accurate well past the 1e-9 residual budget
+at the matrix sizes used here. Eigenvectors follow a fixed sign convention
+so repeated runs are byte-identical. It stays because the coupled outputs
+read the eigenvectors, which are not unique where an eigenvalue repeats:
+until the basis is made canonical on such subspaces, another solver would
+change those numbers.
 """
 
 from __future__ import annotations

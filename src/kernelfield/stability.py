@@ -4,8 +4,10 @@ and the inter-mode coupling entropy.
 The Hessian H_lm = -delta_lm / h_l - J_lm can be asymmetric when the
 source couples modes through a non-symmetric C. The quadratic form only
 sees the symmetric part, so the definiteness verdict (and the gap Delta)
-are computed from (H + H^T) / 2; the Fiedler-mode gap Delta' uses the raw
-diagonal entries over nonzero modes.
+are computed from the spectrum of (H + H^T) / 2, taken with LAPACK
+(numpy.linalg.eigvalsh): only eigenvalues are read, so none of the
+Laplacian-basis conventions of spectral.eig_symmetric apply. The
+Fiedler-mode gap Delta' uses the raw diagonal entries over nonzero modes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import SourceSpec, source_jacobian
-from .spectral import EigenBasis, SpectralKernel, eig_symmetric
+from .spectral import EigenBasis, SpectralKernel
 
 _ZERO_MODE_TOL = 1e-10
 _EMPTY_ROW_TOL = 1e-14
@@ -26,8 +28,8 @@ _EMPTY_ROW_TOL = 1e-14
 class StabilityReport:
     """Full stability diagnostics at one kernel.
 
-    `eigenvalues` are those of the symmetrized Hessian, ascending;
-    `symmetrized` records that convention.
+    `eigenvalues` are those of the symmetrized Hessian, ascending; the JSON
+    key `symmetrized` records that convention.
     """
 
     hessian: np.ndarray
@@ -37,7 +39,6 @@ class StabilityReport:
     fiedler_gap: float
     coupling_entropy: float
     stable: bool
-    symmetrized: bool = True
 
     def to_json(self) -> str:
         """The report; the Hessian itself only up to 64 modes."""
@@ -48,7 +49,7 @@ class StabilityReport:
             "fiedler_gap": self.fiedler_gap,
             "coupling_entropy": self.coupling_entropy,
             "stable": self.stable,
-            "symmetrized": self.symmetrized,
+            "symmetrized": True,
         }
         if self.hessian.shape[0] <= 64:
             obj["hessian"] = [list(row) for row in self.hessian]
@@ -85,13 +86,13 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
     """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
 
-    One Jacobian and one eigendecomposition: the margins are
+    One Jacobian and one symmetric eigenvalue solve: the margins are
     J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
     the gap Delta is -max eig sym(H), and the coupling entropy is read off
     H because off the diagonal |H_lm| = |J_lm|.
     """
     hess = hessian(spec, basis, kernel)
-    eigs = eig_symmetric((hess + hess.T) / 2.0).lambdas
+    eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
     margins = -np.diag(hess)
     return StabilityReport(
         hessian=hess,

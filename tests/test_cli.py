@@ -189,3 +189,38 @@ def test_sweep_config_boolean_and_number_list(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cfg.json", "sweep_trunk_plotdata.csv", "sweep_trunk_records.json"]
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_iter": 2.7, "tol": 1e-14},
+    {"max_iter": True},
+    {"sigma2": "1"},
+    {"mu2": True},
+    {"eta": "0.1"},
+    {"tol": None},
+    {"graph": 8},
+    {"weights": 1},
+    {"out": 5},
+], ids=["max-iter-float", "max-iter-bool", "sigma2-string", "mu2-bool", "eta-string", "tol-null",
+        "graph-number", "weights-number", "out-number"])
+def test_solve_config_type_error_exit_1(tmp_path, capsys, monkeypatch, setting):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": "path:8", "out": "out", **setting}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {next(iter(setting))} must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, setting, message", [
+    (["--eta", "0.3"], {}, "--eta needs --coupled"),
+    ([], {"eta": 0.3}, "--eta needs --coupled"),
+    (["--coupled", "--eta", "0"], {}, "eta must be positive for a coupled sweep"),
+    ([], {"coupled": True, "eta": 0}, "eta must be positive for a coupled sweep"),
+], ids=["flag-uncoupled", "config-uncoupled", "flag-zero", "config-zero"])
+def test_sweep_eta_needs_a_coupled_sweep(tmp_path, capsys, argv, setting, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "out"), **setting}))
+    assert main(["sweep", "--config", str(cfg), *argv]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -20,7 +21,9 @@ from kernelfield import (
     source_jacobian,
     stability_report,
     vacuum_solution,
+    weaken_edge,
 )
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +114,7 @@ def test_stability_report_uniform(p8, exp2_state):
     rep = stability_report(spec, p8, kernel)
     assert rep.stable
     assert np.allclose(rep.eigenvalues, -5.71, atol=0.01)
-    assert rep.symmetrized
+    assert json.loads(rep.to_json())["symmetrized"] is True
 
 
 def test_stability_report_descriptive_off_fixed_point(p8):
@@ -140,17 +143,45 @@ def test_stability_report_coupled(p8):
         np.mean([-(p * np.log(p)).sum() for p in rows]), abs=1e-12)
 
 
+@functools.cache
+def _path_basis(n):
+    return eig_symmetric(laplacian(build_path(n)))
+
+
 @settings(max_examples=25, deadline=None)
-@given(arrays(np.float64, (8,), elements=st.floats(0.05, 5.0)))
-def test_diagonal_case_margin_iff_stable(h):
-    p8 = eig_symmetric(laplacian(build_path(8)))
-    spec = SourceSpec(sigma2=1.0, mu2=2.0)
-    kernel = SpectralKernel(h, np.ones(8))
-    rep = stability_report(spec, p8, kernel)
+@given(st.sampled_from([8, 64, 128]).flatmap(
+           lambda n: arrays(np.float64, (n,), elements=st.floats(0.05, 5.0))),
+       st.sampled_from(list(WeightRule)))
+def test_diagonal_case_margin_iff_stable(h, rule):
+    basis = _path_basis(len(h))
+    spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=rule)
+    rep = stability_report(spec, basis, SpectralKernel(h, np.ones(len(h))))
     off = rep.hessian - np.diag(np.diag(rep.hessian))
     assert np.max(np.abs(off)) <= 1e-12
-    assert np.max(np.abs(np.sort(np.diag(rep.hessian)) - rep.eigenvalues)) <= 1e-10
+    # Exact: the uncoupled stability.json and exp4 outputs rest on it.
+    assert np.array_equal(rep.eigenvalues, np.sort(np.diag(rep.hessian)))
     assert rep.stable == bool(np.all(rep.margins > 0))
+
+
+def _coupled_row(g, u, v, eps):
+    """The state of one coupled sweep row: basis, source and fixed point."""
+    g = weaken_edge(g, u, v, eps)
+    basis = eig_symmetric(laplacian(g))
+    spec = SourceSpec(weight_rule=WeightRule.EIGENVALUE, eta=0.05, coupling=build_coupling(basis, g))
+    return spec, basis, solve_fixed_point(spec, basis, np.ones(basis.n)).h_star
+
+
+@pytest.mark.parametrize("target, u, v, eps", [
+    *((name, *edge, eps) for name, (_, edge) in SWEEP_TARGETS.items() for eps in EPS_GRID),
+    ("path64", 31, 32, 0.109),
+])
+def test_hessian_eigenvalues_match_the_jacobi_solver(target, u, v, eps):
+    g = build_path(64) if target == "path64" else SWEEP_TARGETS[target][0]()
+    rep = stability_report(*_coupled_row(g, u, v, eps))
+    sym = (rep.hessian + rep.hessian.T) / 2.0
+    assert np.max(np.abs(sym - np.diag(np.diag(sym)))) > 1e-6  # a dense case
+    jacobi = eig_symmetric(sym).lambdas
+    assert np.all(np.abs(rep.eigenvalues - jacobi) <= 1e-13 * np.abs(jacobi))
 
 
 def test_report_json(p8, exp2_state):
