@@ -83,9 +83,10 @@ def vacuum_threshold(h0: np.ndarray) -> float:
     return spectral_entropy(np.asarray(h0, dtype=float) * np.exp(-1.0))
 
 
-def diagnostics_record(h: np.ndarray, h0: np.ndarray, margin: float = DEFAULT_ALARM_MARGIN) -> DiagnosticsRecord:
+def diagnostics_record(h: np.ndarray, h0: np.ndarray) -> DiagnosticsRecord:
     """Compute all diagnostics for a kernel; alarm fires when the entropy
-    falls more than `margin` nats below the vacuum-calibrated threshold."""
+    falls more than DEFAULT_ALARM_MARGIN nats below the vacuum-calibrated
+    threshold."""
     entropy = spectral_entropy(h)
     fisher = fisher_rao_diag(h)
     threshold = vacuum_threshold(h0)
@@ -94,5 +95,5 @@ def diagnostics_record(h: np.ndarray, h0: np.ndarray, margin: float = DEFAULT_AL
         fisher_diag=fisher,
         von_neumann_entropy=von_neumann_entropy(fisher),
         threshold=threshold,
-        alarm=bool(entropy < threshold - margin),
+        alarm=bool(entropy < threshold - DEFAULT_ALARM_MARGIN),
     )

@@ -45,13 +45,6 @@ class Graph:
             if not (w > 0 and math.isfinite(w)):
                 raise InvalidGraphError(f"edge {key} weight must be finite and positive, got {w}")
 
-    def edge_weight(self, u: int, v: int) -> float:
-        key = (min(u, v), max(u, v))
-        for a, b, w in self.edges:
-            if (min(a, b), max(a, b)) == key:
-                return w
-        raise EdgeNotFoundError(f"edge ({u},{v}) not in graph")
-
 
 def build_path(n: int) -> Graph:
     """Path graph P_n with unit edge weights.
@@ -71,8 +64,6 @@ def weaken_edge(g: Graph, u: int, v: int, eps: float) -> Graph:
         EdgeNotFoundError: if (u, v) is not an edge of g.
         InvalidGraphError: if eps is not finite and positive.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise InvalidGraphError(f"replacement weight must be finite and positive, got {eps}")
     key = (min(u, v), max(u, v))
     edges = []
     found = False
@@ -117,22 +108,15 @@ def build_river_channel(stem_len: int, tributaries: list[tuple[int, int]]) -> Gr
 def build_trunk_roots(trunk_len: int, root_fan: int, branch_fan: int) -> Graph:
     """Trunk path with a leaf fan at the bottom node and another at the top.
 
+    A river channel whose tributaries are single leaves: root_fan of them
+    at stem node 0, then branch_fan at stem node trunk_len - 1.
+
     Raises:
         InvalidGraphError: trunk too short or a fan < 1.
     """
-    if trunk_len < 2:
-        raise InvalidGraphError(f"trunk length must be >= 2, got {trunk_len}")
     if root_fan < 1 or branch_fan < 1:
         raise InvalidGraphError("fans must be >= 1")
-    edges: list[Edge] = [(i, i + 1, 1.0) for i in range(trunk_len - 1)]
-    next_node = trunk_len
-    for _ in range(root_fan):
-        edges.append((0, next_node, 1.0))
-        next_node += 1
-    for _ in range(branch_fan):
-        edges.append((trunk_len - 1, next_node, 1.0))
-        next_node += 1
-    return Graph(next_node, tuple(edges))
+    return build_river_channel(trunk_len, [(0, 1)] * root_fan + [(trunk_len - 1, 1)] * branch_fan)
 
 
 def adjacency(g: Graph) -> np.ndarray:

@@ -3,11 +3,12 @@
 The eigensolver serves Laplacian bases only; a spectrum without vectors
 (the stability Hessian's) comes from numpy.linalg.eigvalsh. It is a cyclic
 Jacobi sweep: deterministic, and accurate well past the 1e-9 residual budget
-at the matrix sizes used here. Eigenvectors follow a fixed sign convention
-so repeated runs are byte-identical. It stays because the coupled outputs
-read the eigenvectors, which are not unique where an eigenvalue repeats:
-until the basis is made canonical on such subspaces, another solver would
-change those numbers.
+at the matrix sizes used here. It stays because the coupled outputs read
+the eigenvectors, which are not unique where an eigenvalue repeats: until
+the basis is made canonical on such subspaces, another solver would change
+those numbers. An eigenvector's sign is not fixed here; every reader but
+eigenbasis.csv is invariant under flipping a column, and that file applies
+its own sign convention.
 """
 
 from __future__ import annotations
@@ -88,12 +89,11 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_symmetric(mat: np.ndarray) -> EigenBasis:
-    """Eigendecompose a symmetric matrix into an ascending, sign-fixed basis.
+    """Eigendecompose a symmetric matrix into an ascending basis.
 
-    Sign convention: in each eigenvector the first component with magnitude
-    above 1e-12 is made positive. An eigenvalue in [-1e-10, 1e-10] at the
-    bottom of the spectrum is clamped to exactly 0 so eigenvalue-derived
-    mode weights stay sign-clean.
+    Each eigenvector's sign is whatever the solver produced. An eigenvalue
+    in [-1e-10, 1e-10] at the bottom of the spectrum is clamped to exactly
+    0 so eigenvalue-derived mode weights stay sign-clean.
 
     Raises:
         InvalidMatrixError: asymmetry exceeds 1e-9.
@@ -108,11 +108,6 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     vec = vec[:, order]
-    for l in range(len(lam)):
-        col = vec[:, l]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if len(nz) and col[nz[0]] < 0:
-            vec[:, l] = -col
     if abs(lam[0]) < 1e-10:
         lam[0] = 0.0
     lam.setflags(write=False)
@@ -142,10 +137,18 @@ def heat_kernel_weights(basis: EigenBasis, tau: float) -> SpectralKernel:
 
 
 def eigenbasis_to_csv(basis: EigenBasis) -> str:
-    """One row per mode: index, eigenvalue, then the eigenvector components."""
+    """One row per mode: index, eigenvalue, then the eigenvector components.
+
+    Sign convention: each eigenvector is printed with its first component
+    of magnitude above 1e-12 positive.
+    """
     buf = io.StringIO()
     for l in range(basis.n):
+        col = basis.vectors[:, l]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if len(nz) and col[nz[0]] < 0:
+            col = -col
         cells = [str(l), f"{basis.lambdas[l]:.17g}"]
-        cells += [f"{x:.17g}" for x in basis.vectors[:, l]]
+        cells += [f"{x:.17g}" for x in col]
         buf.write(",".join(cells) + "\n")
     return buf.getvalue()

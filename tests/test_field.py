@@ -20,7 +20,10 @@ from kernelfield import (
     source_T,
     source_jacobian,
     vacuum_solution,
+    weaken_edge,
 )
+from kernelfield.diagnostics import fisher_rao_diag
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -253,6 +256,50 @@ def test_geodesics_compose(p8):
         direct = geodesic(a, b, s + t)
         restarted = geodesic(np.log(geodesic(a, b, s)), b, t)
         assert np.max(np.abs(direct - restarted)) <= 1e-12
+
+
+def _fisher_rao_length(path, n_steps=2000):
+    """Length of t -> path(t) over [0, 1] under the diagonal Fisher-Rao metric:
+    composite Simpson on the speed, with central-difference velocities."""
+    ts = np.linspace(0.0, 1.0, n_steps + 1)
+    dt = 1e-6
+    speed = np.array([
+        np.sqrt(np.sum(fisher_rao_diag(path(t)) * ((path(t + dt) - path(t - dt)) / (2 * dt)) ** 2))
+        for t in ts])
+    return float((ts[1] - ts[0]) / 3 * (speed[0] + speed[-1] + 4 * speed[1:-1:2].sum()
+                                        + 2 * speed[2:-1:2].sum()))
+
+
+def test_geodesic_length_under_fisher_rao():
+    """Corollary "geodesics": the log-linear path has length ||b|| / sqrt 2 and
+    is shorter than every perturbed path with the same endpoints."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=8)
+    b = rng.normal(size=8)
+    straight = _fisher_rao_length(lambda t: geodesic(a, b, t))
+    assert abs(straight - np.linalg.norm(b) / np.sqrt(2)) <= 1e-8 * straight
+    for _ in range(5):
+        c = 0.3 * rng.normal(size=8)
+        k = rng.integers(1, 4)
+        bent = _fisher_rao_length(lambda t: geodesic(a + c * np.sin(k * np.pi * t), b, t))
+        assert bent > straight
+
+
+@pytest.mark.parametrize("rule", list(WeightRule))
+@pytest.mark.parametrize("target, eps", [(name, eps) for name in SWEEP_TARGETS for eps in EPS_GRID])
+def test_decoupled_fixed_point_is_stationary(target, eps, rule):
+    """Corollary "selfconsistent": with no coupling, h*_l is a stationary point of
+    phi_l(x) = -x ln(x / h0_l) - (mu2 w_l / 2) ln(sigma2 + x), mode by mode."""
+    make, (u, v) = SWEEP_TARGETS[target]
+    basis = eig_symmetric(laplacian(weaken_edge(make(), u, v, eps)))
+    sigma2, mu2 = 1.0, 2.0
+    h0 = np.ones(basis.n)
+    h = solve_fixed_point(SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule), basis, h0).h_star.h
+    w = basis.lambdas if rule is WeightRule.EIGENVALUE else np.ones(basis.n)
+    for l in range(basis.n):
+        phi = lambda x: -x * np.log(x / h0[l]) - mu2 * w[l] / 2 * np.log(sigma2 + x)
+        step = 1e-6 * h[l]
+        assert abs((phi(h[l] + step) - phi(h[l] - step)) / (2 * step)) <= 1e-6
 
 
 def test_build_coupling_structure(p8):

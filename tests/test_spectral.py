@@ -14,7 +14,9 @@ from kernelfield import (
     hs_distance,
     laplacian,
     materialize_kernel,
+    weaken_edge,
 )
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
 from kernelfield.spectral import eigenbasis_to_csv
 
 P8_SPECTRUM = np.array([2 - 2 * np.cos(np.pi * l / 8) for l in range(8)])
@@ -45,11 +47,24 @@ def test_orthonormality_and_reconstruction(p8_basis):
     assert np.max(np.abs(lap @ phi - phi * p8_basis.lambdas)) <= 1e-9
 
 
+@pytest.mark.parametrize("target, eps", [(name, eps) for name in SWEEP_TARGETS for eps in EPS_GRID])
+def test_sweep_spectra_match_lapack(target, eps):
+    """The Jacobi spectrum of every sweep Laplacian agrees with LAPACK's."""
+    make, (u, v) = SWEEP_TARGETS[target]
+    lap = laplacian(weaken_edge(make(), u, v, eps))
+    lambdas = eig_symmetric(lap).lambdas
+    lapack = np.linalg.eigvalsh(lap)
+    assert np.all(np.abs(lambdas[1:] - lapack[1:]) <= 1e-12 * lapack[1:])
+    assert lambdas[0] == 0.0
+    assert abs(lapack[0]) <= 1e-12
+
+
 def test_sign_convention_deterministic(p8_basis):
     again = eig_symmetric(laplacian(build_path(8)))
     assert np.array_equal(p8_basis.vectors, again.vectors)
-    for l in range(8):
-        col = p8_basis.vectors[:, l]
+    for l, line in enumerate(eigenbasis_to_csv(p8_basis).strip().split("\n")):
+        col = np.array([float(x) for x in line.split(",")[2:]])
+        assert np.array_equal(np.abs(col), np.abs(p8_basis.vectors[:, l]))
         first = col[np.abs(col) > 1e-12][0]
         assert first > 0
 

@@ -14,10 +14,13 @@ from kernelfield import (
     WeightRule,
     build_coupling,
     build_path,
+    build_trunk_roots,
     eig_symmetric,
+    geometric_R,
     hessian,
     laplacian,
     solve_fixed_point,
+    source_T,
     source_jacobian,
     stability_report,
     vacuum_solution,
@@ -182,6 +185,28 @@ def test_hessian_eigenvalues_match_the_jacobi_solver(target, u, v, eps):
     assert np.max(np.abs(sym - np.diag(np.diag(sym)))) > 1e-6  # a dense case
     jacobi = eig_symmetric(sym).lambdas
     assert np.all(np.abs(rep.eigenvalues - jacobi) <= 1e-13 * np.abs(jacobi))
+
+
+@pytest.mark.parametrize("rule", list(WeightRule))
+@pytest.mark.parametrize("g", [build_path(8), weaken_edge(build_path(12), 4, 5, 0.05),
+                               build_trunk_roots(4, 3, 3)], ids=["p8", "path12-weakened", "trunk"])
+def test_hessian_is_the_jacobian_of_the_field_residual(g, rule):
+    """Corollary "hessian", uncoupled: H is the Jacobian of R - T, the gradient
+    of the action, checked by central differences at h* and at a random h."""
+    basis = eig_symmetric(laplacian(g))
+    spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=rule)
+    h0 = np.ones(basis.n)
+    h_star = solve_fixed_point(spec, basis, h0).h_star.h
+    h_random = np.exp(np.random.default_rng(3).uniform(-2.0, 1.0, basis.n))
+    grad = lambda h: geometric_R(SpectralKernel(h, h0)) - source_T(spec, basis, h)
+    for h in (h_star, h_random):
+        fd = np.empty((basis.n, basis.n))
+        for m in range(basis.n):
+            step = np.zeros(basis.n)
+            step[m] = 1e-6 * h[m]
+            fd[:, m] = (grad(h + step) - grad(h - step)) / (2 * step[m])
+        hess = hessian(spec, basis, SpectralKernel(h, h0))
+        assert np.all(np.abs(fd - hess) <= 1e-8 * np.abs(hess))
 
 
 def test_report_json(p8, exp2_state):
