@@ -28,6 +28,7 @@ from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
 from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import SourceSpec, WeightRule
+from .graph import _is_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
 
 
@@ -74,10 +75,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(obj, dict):
         raise KernelFieldError("config must be a JSON object")
     return obj
-
-
-def _is_number(x) -> bool:
-    return type(x) in (int, float)  # a JSON number; bool is not one
 
 
 # The JSON type a config field must have, as (description, test). Flag

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+from .spectral import check_positive
 
 DEFAULT_ALARM_MARGIN = 0.05  # nats
 
@@ -36,23 +37,23 @@ class DiagnosticsRecord:
         })
 
 
-def _check_positive(h: np.ndarray):
-    if np.any(h <= 0):
-        raise DomainError("weights must be strictly positive")
+def shannon(p: np.ndarray) -> float:
+    """Shannon entropy -sum p ln p (nats), zeros dropped, summed in the given order."""
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
 
 
 def spectral_entropy(h: np.ndarray) -> float:
-    """Shannon entropy (nats) of the normalized weight vector."""
+    """Shannon entropy (nats) of the normalized weight vector; a share that underflows drops out."""
     h = np.asarray(h, dtype=float)
-    _check_positive(h)
-    p = h / h.sum()
-    return float(-(p * np.log(p)).sum())
+    check_positive(h)
+    return shannon(h / h.sum())
 
 
 def fisher_rao_diag(h: np.ndarray) -> np.ndarray:
     """Diagonal Fisher-Rao metric I_ll = 1 / (2 h_l^2)."""
     h = np.asarray(h, dtype=float)
-    _check_positive(h)
+    check_positive(h)
     return 1.0 / (2.0 * h**2)
 
 
@@ -69,9 +70,7 @@ def von_neumann_entropy(fisher: np.ndarray) -> float:
     trace = float(fisher.sum())
     if trace <= 0:
         raise DomainError("Fisher metric must have positive trace")
-    nu = np.sort(fisher / trace)
-    nu = nu[nu > 0]
-    return float(-(nu * np.log(nu)).sum())
+    return shannon(np.sort(fisher / trace))
 
 
 def vacuum_threshold(h0: np.ndarray) -> float:

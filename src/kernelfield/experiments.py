@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class SweepRecord:
 class ExperimentResult:
     id: str
     passed: bool
-    metrics: dict = dc_field(default_factory=dict)
-    artifacts: list = dc_field(default_factory=list)
+    metrics: dict
 
 
 def _write_atomic(path: str, text: str):
@@ -74,17 +73,16 @@ def _write_csv(path: str, header: list[str], rows: list[list], fmt: str):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _emit(result: ExperimentResult, out_dir: str | None, table_rows: list[list],
-          table_header: list[str]):
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, f"{result.id}_results.json")
-    _write_atomic(json_path, json.dumps(
-        {"id": result.id, "passed": result.passed, "metrics": result.metrics}, indent=2))
-    csv_path = os.path.join(out_dir, f"{result.id}_table.csv")
-    _write_csv(csv_path, table_header, table_rows, ".6g")
-    result.artifacts += [json_path, csv_path]
+def _result(exp_id: str, passed: bool, metrics: dict, out_dir: str | None,
+            table_header: list[str], table_rows: list[list]) -> ExperimentResult:
+    """The runner's result, also written to <id>_results.json and <id>_table.csv if out_dir."""
+    result = ExperimentResult(exp_id, passed, metrics)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_atomic(os.path.join(out_dir, f"{exp_id}_results.json"),
+                      json.dumps(asdict(result), indent=2))
+        _write_csv(os.path.join(out_dir, f"{exp_id}_table.csv"), table_header, table_rows, ".6g")
+    return result
 
 
 def _p8_setup():
@@ -106,15 +104,10 @@ def run_exp1(out_dir: str | None = None) -> ExperimentResult:
         f = lambda h: float(-(h[l]) * np.log(h[l] / h0[l]))
         fd[l] = (f(hp) - f(hm)) / (2 * step)
     err = float(np.max(np.abs(analytic - fd)))
-    result = ExperimentResult(
-        id="exp1",
-        passed=err <= 1e-8,
-        metrics={"max_abs_error": err, "fd_step": step, "R_values": list(analytic)},
-    )
-    _emit(result, out_dir,
-          table_rows=[[l, analytic[l], fd[l]] for l in range(len(h0))],
-          table_header=["mode", "analytic", "finite_difference"])
-    return result
+    return _result("exp1", err <= 1e-8,
+                   {"max_abs_error": err, "fd_step": step, "R_values": list(analytic)},
+                   out_dir, ["mode", "analytic", "finite_difference"],
+                   [[l, analytic[l], fd[l]] for l in range(len(h0))])
 
 
 def run_exp2(out_dir: str | None = None) -> ExperimentResult:
@@ -129,17 +122,11 @@ def run_exp2(out_dir: str | None = None) -> ExperimentResult:
         and 0.09 <= report.contraction_ratio <= 0.15
         and report.iterations <= 30
     )
-    result = ExperimentResult(
-        id="exp2",
-        passed=passed,
-        metrics={"h_star": list(h), "iterations": report.iterations,
-                 "residual_inf": report.residual_inf,
-                 "contraction_ratio": report.contraction_ratio},
-    )
-    _emit(result, out_dir,
-          table_rows=[[l, float(h[l])] for l in range(basis.n)],
-          table_header=["mode", "h_star"])
-    return result
+    return _result("exp2", passed,
+                   {"h_star": list(h), "iterations": report.iterations,
+                    "residual_inf": report.residual_inf,
+                    "contraction_ratio": report.contraction_ratio},
+                   out_dir, ["mode", "h_star"], [[l, float(h[l])] for l in range(basis.n)])
 
 
 def run_exp3(out_dir: str | None = None) -> ExperimentResult:
@@ -157,18 +144,12 @@ def run_exp3(out_dir: str | None = None) -> ExperimentResult:
     rate_err = float(np.max(np.abs(ratios[0] - np.exp(b))))
 
     passed = vac_err < 1e-6 and ratio_dev <= 1e-12 and rate_err <= 1e-12
-    result = ExperimentResult(
-        id="exp3",
-        passed=passed,
-        metrics={"vacuum_ratio_error": vac_err,
-                 "geodesic_ratio_deviation": ratio_dev,
-                 "geodesic_rate_error": rate_err},
-    )
-    _emit(result, out_dir,
-          table_rows=[[l, float(path[0][l]), float(path[1][l]), float(path[2][l])]
-                      for l in range(basis.n)],
-          table_header=["mode", "t0", "t1", "t2"])
-    return result
+    return _result("exp3", passed,
+                   {"vacuum_ratio_error": vac_err, "geodesic_ratio_deviation": ratio_dev,
+                    "geodesic_rate_error": rate_err},
+                   out_dir, ["mode", "t0", "t1", "t2"],
+                   [[l, float(path[0][l]), float(path[1][l]), float(path[2][l])]
+                    for l in range(basis.n)])
 
 
 def run_exp4(out_dir: str | None = None) -> ExperimentResult:
@@ -189,21 +170,13 @@ def run_exp4(out_dir: str | None = None) -> ExperimentResult:
         and scoup_err <= 1e-9
         and srep.stable
     )
-    result = ExperimentResult(
-        id="exp4",
-        passed=passed,
-        metrics={"hessian_offdiag_max": off_max,
-                 "eigenvalues": list(srep.eigenvalues),
-                 "margins": list(srep.margins),
-                 "hessian_gap": srep.hessian_gap,
-                 "coupling_entropy": srep.coupling_entropy,
-                 "stable": srep.stable},
-    )
-    _emit(result, out_dir,
-          table_rows=[[l, float(srep.eigenvalues[l]), float(srep.margins[l])]
-                      for l in range(basis.n)],
-          table_header=["mode", "hessian_eigenvalue", "margin"])
-    return result
+    return _result("exp4", passed,
+                   {"hessian_offdiag_max": off_max, "eigenvalues": list(srep.eigenvalues),
+                    "margins": list(srep.margins), "hessian_gap": srep.hessian_gap,
+                    "coupling_entropy": srep.coupling_entropy, "stable": srep.stable},
+                   out_dir, ["mode", "hessian_eigenvalue", "margin"],
+                   [[l, float(srep.eigenvalues[l]), float(srep.margins[l])]
+                    for l in range(basis.n)])
 
 
 def run_exp5(out_dir: str | None = None) -> ExperimentResult:
@@ -215,16 +188,11 @@ def run_exp5(out_dir: str | None = None) -> ExperimentResult:
     passed = (monotone
               and abs(residuals[0] - 1.50) <= 0.01
               and abs(residuals[-1] - 17.24) <= 0.05)
-    result = ExperimentResult(
-        id="exp5",
-        passed=passed,
-        metrics={"taus": list(HEAT_TAUS), "residuals": residuals,
-                 "strictly_increasing": monotone},
-    )
-    _emit(result, out_dir,
-          table_rows=[[tau, r] for tau, r in zip(HEAT_TAUS, residuals)],
-          table_header=["tau", "residual_inf"])
-    return result
+    return _result("exp5", passed,
+                   {"taus": list(HEAT_TAUS), "residuals": residuals,
+                    "strictly_increasing": monotone},
+                   out_dir, ["tau", "residual_inf"],
+                   [[tau, r] for tau, r in zip(HEAT_TAUS, residuals)])
 
 
 # Builtin sweep targets with their stressed edges: the 8-node path at edge
@@ -316,14 +284,9 @@ def run_exp6(out_dir: str | None = None) -> ExperimentResult:
         d_ent = abs(rec.entropy - ent)
         d_gap = abs(rec.delta_fiedler - gap)
         ok &= rec.converged and d_lam <= 2e-3 and d_ent <= 5e-3 and d_gap <= 5e-3
-    result = ExperimentResult(
-        id="exp6",
-        passed=bool(ok),
-        metrics={"rows": [[r.eps, r.lambda1, r.entropy, r.delta_fiedler] for r in records]},
-    )
-    _emit(result, out_dir, table_rows=[_sweep_row(r) for r in records],
-          table_header=list(_SWEEP_COLUMNS))
-    return result
+    return _result("exp6", bool(ok),
+                   {"rows": [[r.eps, r.lambda1, r.entropy, r.delta_fiedler] for r in records]},
+                   out_dir, list(_SWEEP_COLUMNS), [_sweep_row(r) for r in records])
 
 
 def run_exp6b(out_dir: str | None = None) -> ExperimentResult:
@@ -337,15 +300,10 @@ def run_exp6b(out_dir: str | None = None) -> ExperimentResult:
     gap_down = all(b <= a for a, b in zip(gaps, gaps[1:]))
     passed = (all(r.converged for r in records)
               and scoup_range > 1e-3 and entropy_up and gap_down)
-    result = ExperimentResult(
-        id="exp6b",
-        passed=bool(passed),
-        metrics={"coupling_entropy": scoup, "coupling_entropy_range": scoup_range,
-                 "entropy_nondecreasing": entropy_up, "gap_nonincreasing": gap_down},
-    )
-    _emit(result, out_dir, table_rows=[_sweep_row(r) for r in records],
-          table_header=list(_SWEEP_COLUMNS))
-    return result
+    return _result("exp6b", bool(passed),
+                   {"coupling_entropy": scoup, "coupling_entropy_range": scoup_range,
+                    "entropy_nondecreasing": entropy_up, "gap_nonincreasing": gap_down},
+                   out_dir, list(_SWEEP_COLUMNS), [_sweep_row(r) for r in records])
 
 
 def run_exp7(out_dir: str | None = None) -> ExperimentResult:
@@ -375,10 +333,8 @@ def run_exp7(out_dir: str | None = None) -> ExperimentResult:
     # parameters are package defaults rather than anything canonical.
     metrics["river_scoup_drop_ge_trunk"] = bool(drops["river"] >= drops["trunk"])
     metrics["scoup_drops"] = drops
-    result = ExperimentResult(id="exp7", passed=bool(passed), metrics=metrics)
-    _emit(result, out_dir, table_rows=rows,
-          table_header=["topology", "eps", "lambda1", "entropy", "delta_fiedler"])
-    return result
+    return _result("exp7", bool(passed), metrics, out_dir,
+                   ["topology", "eps", "lambda1", "entropy", "delta_fiedler"], rows)
 
 
 RUNNERS = {

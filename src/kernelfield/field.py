@@ -18,7 +18,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import DimensionMismatchError, DomainError, NumericalError
-from .spectral import EigenBasis, SpectralKernel
+from .spectral import EigenBasis, SpectralKernel, check_positive
 
 _EXP_GUARD = 700.0  # exp argument beyond this over/underflows binary64
 
@@ -111,14 +111,9 @@ def build_coupling(basis: EigenBasis, g: graphmod.Graph) -> np.ndarray:
     return c
 
 
-def _check_positive(h: np.ndarray):
-    if np.any(h <= 0):
-        raise DomainError("spectral weights must be strictly positive")
-
-
 def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
     """Per-mode source T_l[h], including the optional coupling term."""
-    _check_positive(h)
+    check_positive(h)
     t = spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h))
     if spec.coupling is not None:
         t = t + spec.eta * (spec.coupling @ h)
@@ -127,7 +122,7 @@ def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
 
 def source_jacobian(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
     """J_lm = dT_l/dh_m: diagonal MI part plus eta*C."""
-    _check_positive(h)
+    check_positive(h)
     jac = np.diag(-spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h) ** 2))
     if spec.coupling is not None:
         jac = jac + spec.eta * spec.coupling
@@ -163,7 +158,7 @@ def solve_fixed_point(
         NumericalError: exp argument out of the binary64 range.
     """
     h0 = np.asarray(h0, dtype=float)
-    _check_positive(h0)
+    check_positive(h0)
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
@@ -210,7 +205,7 @@ def contraction_certificate(spec: SourceSpec, basis: EigenBasis, h: np.ndarray, 
 def vacuum_solution(h0: np.ndarray) -> SpectralKernel:
     """Source-free fixed point: the reference rescaled uniformly by 1/e."""
     h0 = np.asarray(h0, dtype=float)
-    _check_positive(h0)
+    check_positive(h0)
     return SpectralKernel(h0 * np.exp(-1.0), h0)
 
 

@@ -160,11 +160,40 @@ def to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]})
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)  # a JSON number; bool is not one
+
+
+def _is_edge(e) -> bool:
+    return (type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
+            and _is_number(e[2]))
+
+
 def from_json(text: str) -> Graph:
+    """Parse the to_json wire format.
+
+    n and every node id must be JSON integers and every weight a JSON
+    number (a boolean is neither); an integer weight loads as a float.
+
+    Raises:
+        InvalidGraphError: malformed JSON, a missing key, a value of the
+            wrong type or an integer weight beyond binary64 ("malformed
+            graph JSON: ..."), or a graph that Graph rejects.
+    """
     try:
         obj = json.loads(text)
-        return Graph(int(obj["n"]), tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"]))
+        n, edges = obj["n"], obj["edges"]
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidGraphError):
-            raise
+        raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
+    if type(n) is not int:
+        raise InvalidGraphError(f"malformed graph JSON: n must be an integer, got {n!r}")
+    if type(edges) is not list:
+        raise InvalidGraphError(f"malformed graph JSON: edges must be a list, got {edges!r}")
+    for e in edges:
+        if not _is_edge(e):
+            raise InvalidGraphError("malformed graph JSON: an edge must be [u, v, w] with "
+                                    f"integer nodes and a numeric weight, got {e!r}")
+    try:
+        return Graph(n, tuple((u, v, float(w)) for u, v, w in edges))
+    except OverflowError as exc:  # an integer weight beyond binary64
         raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc

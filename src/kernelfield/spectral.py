@@ -36,6 +36,12 @@ class EigenBasis:
         return len(self.lambdas)
 
 
+def check_positive(h: np.ndarray):
+    """Raise DomainError unless every weight in h is strictly positive."""
+    if np.any(h <= 0):
+        raise DomainError("spectral weights must be strictly positive")
+
+
 @dataclass(frozen=True)
 class SpectralKernel:
     """Positive spectral weights h with a positive reference h0."""
@@ -46,8 +52,8 @@ class SpectralKernel:
     def __post_init__(self):
         if self.h.shape != self.h0.shape:
             raise DimensionMismatchError("h and h0 must have the same length")
-        if np.any(self.h <= 0) or np.any(self.h0 <= 0):
-            raise DomainError("spectral weights must be strictly positive")
+        check_positive(self.h)
+        check_positive(self.h0)
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +102,15 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     0 so eigenvalue-derived mode weights stay sign-clean.
 
     Raises:
-        InvalidMatrixError: asymmetry exceeds 1e-9.
+        InvalidMatrixError: not square, a non-finite entry, or asymmetry
+            above 1e-9.
         NumericalError: sweep budget exhausted.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InvalidMatrixError("matrix has a non-finite entry")
     if np.max(np.abs(mat - mat.T)) > 1e-9:
         raise InvalidMatrixError("matrix is not symmetric")
     lam, vec = _jacobi((mat + mat.T) / 2.0)

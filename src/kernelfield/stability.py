@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import shannon
+from .errors import DomainError
 from .field import SourceSpec, source_jacobian
 from .spectral import EigenBasis, SpectralKernel
 
@@ -77,9 +79,7 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
         if mass < _EMPTY_ROW_TOL:
             total += np.log(n - 1)
             continue
-        p = off / mass
-        p = p[p > 0]
-        total += float(-(p * np.log(p)).sum())
+        total += shannon(off / mass)
     return total / n
 
 
@@ -90,16 +90,24 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
     the gap Delta is -max eig sym(H), and the coupling entropy is read off
     H because off the diagonal |H_lm| = |J_lm|.
+
+    Raises:
+        DomainError: no Laplacian eigenvalue exceeds the zero-mode
+            tolerance, so the Fiedler gap is undefined.
     """
     hess = hessian(spec, basis, kernel)
     eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
     margins = -np.diag(hess)
+    nonzero_margins = margins[basis.lambdas > _ZERO_MODE_TOL]
+    if not nonzero_margins.size:
+        raise DomainError(f"no Laplacian eigenvalue exceeds the zero-mode tolerance "
+                          f"{_ZERO_MODE_TOL:g}, so the Fiedler gap is undefined")
     return StabilityReport(
         hessian=hess,
         eigenvalues=eigs,
         margins=margins,
         hessian_gap=float(-eigs[-1]),
-        fiedler_gap=float(np.min(margins[basis.lambdas > _ZERO_MODE_TOL])),
+        fiedler_gap=float(np.min(nonzero_margins)),
         coupling_entropy=_offdiag_row_entropy(hess),
         stable=bool(eigs[-1] < 0),
     )

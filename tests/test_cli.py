@@ -150,6 +150,26 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+# A graph file of the wrong JSON types, with a non-finite Laplacian or with
+# no Laplacian eigenvalue above the zero-mode tolerance is an input error.
+@pytest.mark.parametrize("argv, graph_text, message", [
+    (["graph"], '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}', "malformed graph JSON"),
+    (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "non-finite"),
+    (["solve", "--graph"], '{"n": 1, "edges": []}', "zero-mode tolerance"),
+    (["solve", "--graph"], '{"n": 2, "edges": []}', "zero-mode tolerance"),
+    (["solve", "--graph"], '{"n": 2, "edges": [[0, 1, 1e-12]]}', "zero-mode tolerance"),
+], ids=["json-types", "degree-overflow", "one-node", "two-isolated-nodes", "tiny-weight"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, message):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(graph_text)
+    out = tmp_path / "out"
+    assert main(argv + [str(graph_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--sigma2", "abc"], 1),
     (["solve", "--weights", "bogus"], 1),

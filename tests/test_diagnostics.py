@@ -36,6 +36,11 @@ def test_entropy_scale_invariant_and_bounded(h):
     assert 0.0 <= base <= np.log(8) + 1e-12
 
 
+def test_entropy_drops_an_underflowing_weight():
+    # 5e-324 / 4.0 underflows to 0, whose term 0 ln 0 is 0, not NaN.
+    assert spectral_entropy(np.array([5e-324, 4.0])) == 0.0
+
+
 def test_entropy_max_iff_constant():
     assert spectral_entropy(np.full(8, 3.7)) == pytest.approx(np.log(8), abs=1e-12)
     assert spectral_entropy(np.array([1.0, 2, 1, 1, 1, 1, 1, 1])) < np.log(8) - 1e-4

@@ -126,13 +126,14 @@ def test_plotdata_normalized_columns(tmp_path):
 
 
 def test_results_json_shape(tmp_path):
-    res = ex.run_exp4(str(tmp_path))
+    ex.run_exp4(str(tmp_path))
     with open(tmp_path / "exp4_results.json") as fh:
         obj = json.load(fh)
+    assert list(obj) == ["id", "passed", "metrics"]
     assert obj["id"] == "exp4"
     assert obj["passed"] is True
     assert obj["metrics"]["stable"] is True
-    assert res.artifacts
+    assert sorted(os.listdir(tmp_path)) == ["exp4_results.json", "exp4_table.csv"]
 
 
 def test_run_sweep_names_files_by_prefix_and_source(tmp_path):

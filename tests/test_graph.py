@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernelfield import (
     EdgeNotFoundError,
@@ -117,13 +121,62 @@ def test_laplacian_p3_spectrum():
     assert np.allclose(eigs, [0.0, 1.0, 3.0], atol=1e-9)
 
 
-def test_json_round_trip_bit_exact():
-    g = weaken_edge(build_path(8), 2, 3, 0.1 + 0.2)  # weight not exactly representable in decimal
+@st.composite
+def graphs(draw):
+    """Valid graphs: 1 to 12 nodes, a random edge subset in random order and
+    orientation, finite positive weights from 1e-300 to 1e300."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append((u, v, draw(st.floats(1e-300, 1e300))))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+@example(weaken_edge(build_path(8), 2, 3, 0.1 + 0.2))  # weight not exact in decimal
+def test_json_round_trip_bit_exact(g):
     assert from_json(to_json(g)) == g
 
 
+# JSON values that are not integers, and ones that are not numbers.
+NOT_INTEGER = st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=3),
+                        st.none(), st.just([1]), st.just({}))
+NOT_NUMBER = st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.just([1.0]),
+                       st.just({}))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(), st.data())
+def test_from_json_rejects_a_wrong_typed_value(g, data):
+    obj = {"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}
+    slot = data.draw(st.sampled_from(["n", "u", "v", "w"] if g.edges else ["n"]))
+    if slot == "n":
+        obj["n"] = data.draw(NOT_INTEGER)
+    else:
+        edge = data.draw(st.sampled_from(obj["edges"]))
+        edge["uvw".index(slot)] = data.draw(NOT_NUMBER if slot == "w" else NOT_INTEGER)
+    with pytest.raises(InvalidGraphError, match="malformed graph JSON"):
+        from_json(json.dumps(obj))
+
+
 def test_from_json_malformed():
-    with pytest.raises(InvalidGraphError):
-        from_json('{"edges": []}')
-    with pytest.raises(InvalidGraphError):
-        from_json('{"n": 2, "edges": [[0, 0, 1.0]]}')
+    for text in ('{"edges": []}',
+                 '{"n": 2, "edges": [[0, 0, 1.0]]}',
+                 '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}',
+                 '{"n": "3", "edges": [[0, 1, "2.5"], [1, 2, 1]]}',
+                 '{"n": 3, "edges": {"012": 0}}',
+                 '{"n": 3, "edges": [[0, 1]]}',
+                 '{"n": 2, "edges": [[0, 1, 1' + '0' * 400 + ']]}',  # overflows binary64
+                 '[3]'):
+        with pytest.raises(InvalidGraphError):
+            from_json(text)
+
+
+def test_from_json_integer_weight_loads_as_float():
+    (edge,) = from_json('{"n": 2, "edges": [[0, 1, 2]]}').edges
+    assert edge == (0, 1, 2.0) and type(edge[2]) is float

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
     DimensionMismatchError,
+    Graph,
     InvalidMatrixError,
     SpectralKernel,
     build_path,
@@ -74,6 +75,16 @@ def test_rejects_asymmetric():
         eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidMatrixError):
         eig_symmetric(np.ones((2, 3)))
+
+
+def test_rejects_non_finite():
+    with pytest.raises(InvalidMatrixError, match="non-finite"):
+        eig_symmetric(np.array([[np.nan]]))
+    # Every weight is finite, but the middle node's degree overflows.
+    with np.errstate(over="ignore"):
+        lap = laplacian(Graph(3, ((0, 1, 1e308), (1, 2, 1e308))))
+    with pytest.raises(InvalidMatrixError, match="non-finite"):
+        eig_symmetric(lap)
 
 
 def test_materialize_identity(p8_basis):
