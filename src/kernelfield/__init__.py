@@ -42,7 +42,7 @@ from .graph import (
     build_path,
     build_river_channel,
     build_trunk_roots,
-    is_connected,
+    component_count,
     laplacian,
     weaken_edge,
 )
@@ -50,6 +50,7 @@ from .spectral import (
     EigenBasis,
     SpectralKernel,
     eig_symmetric,
+    eigvals_symmetric,
     heat_kernel_weights,
     hs_distance,
     materialize_kernel,

@@ -29,7 +29,7 @@ from .errors import KernelFieldError, NumericalError
 from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import SourceSpec, WeightRule
 from .graph import _is_number
-from .spectral import eig_symmetric, eigenbasis_to_csv
+from .spectral import eig_symmetric, eigenbasis_to_csv, eigvals_symmetric
 
 
 def parse_graph_spec(spec: str) -> graphmod.Graph:
@@ -102,11 +102,10 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
-def _make_spec(args, config, basis, g) -> SourceSpec:
+def _make_spec(args, config, eta, basis, g) -> SourceSpec:
     sigma2 = float(_setting(args, config, "sigma2", 1.0))
     mu2 = float(_setting(args, config, "mu2", 2.0))
     weights = _setting(args, config, "weights", "uniform")
-    eta = float(_setting(args, config, "eta", 0.0))
     rule = WeightRule(weights)
     coupling = field.build_coupling(basis, g) if eta > 0 else None
     return SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule, eta=eta, coupling=coupling)
@@ -115,8 +114,10 @@ def _make_spec(args, config, basis, g) -> SourceSpec:
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     g = parse_graph_spec(_setting(args, config, "graph", "path:8"))
-    basis = eig_symmetric(graphmod.laplacian(g))
-    spec = _make_spec(args, config, basis, g)
+    eta = float(_setting(args, config, "eta", 0.0))
+    # Only the coupling matrix reads eigenvectors.
+    basis = (eig_symmetric if eta > 0 else eigvals_symmetric)(graphmod.laplacian(g))
+    spec = _make_spec(args, config, eta, basis, g)
     tol = float(_setting(args, config, "tol", 1e-12))
     max_iter = _setting(args, config, "max_iter", 200)
     out = _setting(args, config, "out", ".")
@@ -128,6 +129,10 @@ def cmd_solve(args) -> int:
     _write_atomic(os.path.join(out, "fixed_point.json"), report.to_json())
     _write_atomic(os.path.join(out, "stability.json"), srep.to_json())
     _write_atomic(os.path.join(out, "diagnostics.json"), drec.to_json())
+    components = graphmod.component_count(g)
+    if components > 1:
+        print(f"warning: graph has {components} connected components, so its Laplacian's "
+              f"zero eigenvalue is {components}-fold", file=sys.stderr)
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual_inf:.6g} ratio={report.contraction_ratio:.6g}")
     return 0 if report.converged else 2
@@ -175,12 +180,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_graph(args) -> int:
     g = parse_graph_spec(args.graph)
-    basis = eig_symmetric(graphmod.laplacian(g))
+    # Only eigenbasis.csv reads eigenvectors.
+    basis = (eig_symmetric if args.out else eigvals_symmetric)(graphmod.laplacian(g))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, "graph.json"), graphmod.to_json(g))
         _write_atomic(os.path.join(args.out, "eigenbasis.csv"), eigenbasis_to_csv(basis))
-    print(f"n={g.n} edges={len(g.edges)} connected={graphmod.is_connected(g)}")
+    print(f"n={g.n} edges={len(g.edges)} connected={graphmod.component_count(g) == 1}")
     print("eigenvalues: " + " ".join(f"{x:.6g}" for x in basis.lambdas))
     return 0
 

@@ -101,8 +101,12 @@ def build_coupling(basis: EigenBasis, g: graphmod.Graph) -> np.ndarray:
     C = |Phi^T A Phi| with the diagonal zeroed, then rows normalized to
     sum 1; rows with off-diagonal mass below 1e-14 stay zero. The absolute
     value keeps entries nonnegative so they can serve as entropy weights.
+
+    Raises:
+        DomainError: a values-only basis (see spectral.eig_symmetric).
     """
-    c = np.abs(basis.vectors.T @ graphmod.adjacency(g) @ basis.vectors)
+    phi = basis.require_vectors()
+    c = np.abs(phi.T @ graphmod.adjacency(g) @ phi)
     np.fill_diagonal(c, 0.0)
     sums = c.sum(axis=1)
     keep = sums > 1e-14

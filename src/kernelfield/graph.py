@@ -129,26 +129,42 @@ def adjacency(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Unnormalized Laplacian L = D - A with weighted degrees."""
+    """Unnormalized Laplacian L = D - A with weighted degrees.
+
+    Raises:
+        InvalidGraphError: a weighted degree overflows binary64.
+    """
     a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    with np.errstate(over="ignore"):
+        degrees = a.sum(axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(degrees))
+    if overflowed.size:
+        raise InvalidGraphError(f"node {overflowed[0]} has a non-finite weighted degree "
+                                f"(its edge weights sum past the binary64 range)")
+    return np.diag(degrees) - a
 
 
-def is_connected(g: Graph) -> bool:
-    """BFS reachability from node 0."""
+def component_count(g: Graph) -> int:
+    """Number of connected components, by BFS from each node not yet reached."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    seen = [False] * g.n
+    count = 0
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+    return count
 
 
 def to_json(g: Graph) -> str:

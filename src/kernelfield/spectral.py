@@ -1,14 +1,17 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
-The eigensolver serves Laplacian bases only; a spectrum without vectors
-(the stability Hessian's) comes from numpy.linalg.eigvalsh. It is a cyclic
-Jacobi sweep: deterministic, and accurate well past the 1e-9 residual budget
-at the matrix sizes used here. It stays because the coupled outputs read
-the eigenvectors, which are not unique where an eigenvalue repeats: until
-the basis is made canonical on such subspaces, another solver would change
-those numbers. An eigenvector's sign is not fixed here; every reader but
-eigenbasis.csv is invariant under flipping a column, and that file applies
-its own sign convention.
+Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh): the Laplacian
+spectrum here, the stability Hessian's in stability. eigvals_symmetric
+returns a values-only basis for callers that read no eigenvector: the
+uncoupled field equation, its Hessian and the spectral entropy depend on
+the eigenvalues alone. eig_symmetric adds the eigenvector columns from a
+cyclic Jacobi sweep: deterministic, and accurate well past the 1e-9
+residual budget at the matrix sizes used here. The Jacobi stays because the
+coupled outputs read the eigenvectors, which are not unique where an
+eigenvalue repeats: until the basis is made canonical on such subspaces,
+another solver would change those numbers. An eigenvector's sign is not
+fixed here; every reader but eigenbasis.csv is invariant under flipping a
+column, and that file applies its own sign convention.
 """
 
 from __future__ import annotations
@@ -26,14 +29,28 @@ _MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l])."""
+    """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l]).
+
+    vectors is None in a values-only basis from eigvals_symmetric.
+    """
 
     lambdas: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.lambdas)
+
+    def require_vectors(self) -> np.ndarray:
+        """The eigenvector columns.
+
+        Raises:
+            DomainError: a values-only basis.
+        """
+        if self.vectors is None:
+            raise DomainError("this basis holds eigenvalues only; "
+                              "build it with eig_symmetric to read eigenvectors")
+        return self.vectors
 
 
 def check_positive(h: np.ndarray):
@@ -94,18 +111,8 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).copy(), v
 
 
-def eig_symmetric(mat: np.ndarray) -> EigenBasis:
-    """Eigendecompose a symmetric matrix into an ascending basis.
-
-    Each eigenvector's sign is whatever the solver produced. An eigenvalue
-    in [-1e-10, 1e-10] at the bottom of the spectrum is clamped to exactly
-    0 so eigenvalue-derived mode weights stay sign-clean.
-
-    Raises:
-        InvalidMatrixError: not square, a non-finite entry, or asymmetry
-            above 1e-9.
-        NumericalError: sweep budget exhausted.
-    """
+def _symmetrized(mat) -> np.ndarray:
+    """(mat + mat^T) / 2 of a checked real square matrix."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {mat.shape}")
@@ -113,22 +120,65 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
         raise InvalidMatrixError("matrix has a non-finite entry")
     if np.max(np.abs(mat - mat.T)) > 1e-9:
         raise InvalidMatrixError("matrix is not symmetric")
-    lam, vec = _jacobi((mat + mat.T) / 2.0)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order]
+    return (mat + mat.T) / 2.0
+
+
+def _eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """LAPACK's ascending eigenvalues, a bottom one in [-1e-10, 1e-10] set to 0, read-only."""
+    lam = np.linalg.eigvalsh(sym)
     if abs(lam[0]) < 1e-10:
         lam[0] = 0.0
     lam.setflags(write=False)
+    return lam
+
+
+def eigvals_symmetric(mat: np.ndarray) -> EigenBasis:
+    """The ascending eigenvalues of a symmetric matrix as a values-only basis.
+
+    The eigenvalues are bit-equal to eig_symmetric's; vectors is None, so
+    build_coupling, materialize_kernel and eigenbasis_to_csv reject it.
+
+    Raises:
+        InvalidMatrixError: not square, a non-finite entry, or asymmetry
+            above 1e-9.
+    """
+    return EigenBasis(_eigenvalues(_symmetrized(mat)))
+
+
+def eig_symmetric(mat: np.ndarray) -> EigenBasis:
+    """Eigendecompose a symmetric matrix into an ascending basis.
+
+    The eigenvalues come from LAPACK, exactly as in eigvals_symmetric, and
+    an eigenvalue in [-1e-10, 1e-10] at the bottom of the spectrum is
+    clamped to exactly 0 so eigenvalue-derived mode weights stay sign-clean.
+    The eigenvector columns come from the cyclic Jacobi sweep, ordered by
+    the Jacobi's own eigenvalues. Each eigenvector's sign is whatever the
+    sweep produced.
+
+    Raises:
+        InvalidMatrixError: not square, a non-finite entry, or asymmetry
+            above 1e-9.
+        NumericalError: sweep budget exhausted.
+    """
+    sym = _symmetrized(mat)
+    lam = _eigenvalues(sym)
+    jacobi_lam, vec = _jacobi(sym)
+    vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
     vec.setflags(write=False)
     return EigenBasis(lam, vec)
 
 
 def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
-    """K = Phi diag(h) Phi^T."""
+    """K = Phi diag(h) Phi^T.
+
+    Raises:
+        DimensionMismatchError: kernel and basis sizes differ.
+        DomainError: a values-only basis.
+    """
     if len(kernel.h) != basis.n:
         raise DimensionMismatchError("kernel length does not match basis size")
-    return (basis.vectors * kernel.h) @ basis.vectors.T
+    phi = basis.require_vectors()
+    return (phi * kernel.h) @ phi.T
 
 
 def hs_distance(basis: EigenBasis, k1: SpectralKernel, k2: SpectralKernel) -> float:
@@ -150,10 +200,14 @@ def eigenbasis_to_csv(basis: EigenBasis) -> str:
 
     Sign convention: each eigenvector is printed with its first component
     of magnitude above 1e-12 positive.
+
+    Raises:
+        DomainError: a values-only basis.
     """
+    phi = basis.require_vectors()
     buf = io.StringIO()
     for l in range(basis.n):
-        col = basis.vectors[:, l]
+        col = phi[:, l]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         if len(nz) and col[nz[0]] < 0:
             col = -col

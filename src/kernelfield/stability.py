@@ -5,8 +5,8 @@ The Hessian H_lm = -delta_lm / h_l - J_lm can be asymmetric when the
 source couples modes through a non-symmetric C. The quadratic form only
 sees the symmetric part, so the definiteness verdict (and the gap Delta)
 are computed from the spectrum of (H + H^T) / 2, taken with LAPACK
-(numpy.linalg.eigvalsh): only eigenvalues are read, so none of the
-Laplacian-basis conventions of spectral.eig_symmetric apply. The
+(numpy.linalg.eigvalsh) like the Laplacian spectrum, but without
+spectral's bottom-eigenvalue clamp, which is a Laplacian convention. The
 Fiedler-mode gap Delta' uses the raw diagonal entries over nonzero modes.
 """
 

@@ -1,10 +1,16 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelfield import experiments
+import kernelfield
+from kernelfield import experiments, spectral
 from kernelfield.cli import main, parse_graph_spec
 from kernelfield.errors import KernelFieldError
 from kernelfield.graph import build_path, build_river_channel, build_trunk_roots, weaken_edge
@@ -150,8 +156,9 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
-# A graph file of the wrong JSON types, with a non-finite Laplacian or with
-# no Laplacian eigenvalue above the zero-mode tolerance is an input error.
+# A graph file of the wrong JSON types, with a weighted degree that overflows
+# or with no Laplacian eigenvalue above the zero-mode tolerance is an input
+# error.
 @pytest.mark.parametrize("argv, graph_text, message", [
     (["graph"], '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}', "malformed graph JSON"),
     (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "non-finite"),
@@ -159,7 +166,6 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     (["solve", "--graph"], '{"n": 2, "edges": []}', "zero-mode tolerance"),
     (["solve", "--graph"], '{"n": 2, "edges": [[0, 1, 1e-12]]}', "zero-mode tolerance"),
 ], ids=["json-types", "degree-overflow", "one-node", "two-isolated-nodes", "tiny-weight"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, message):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(graph_text)
@@ -168,6 +174,88 @@ def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_degree_overflow_is_one_error_line(tmp_path):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}')
+    src = os.path.dirname(os.path.dirname(kernelfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kernelfield.cli", "graph", str(graph_file)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: node 1 has a non-finite weighted degree "
+        "(its edge weights sum past the binary64 range)"]
+
+
+def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}')
+    out = tmp_path / "out"
+    assert main(["solve", "--graph", str(graph_file), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: graph has 2 connected components, so its Laplacian's zero eigenvalue is 2-fold"]
+    assert "converged=True" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.json", "fixed_point.json", "stability.json"]
+    assert main(["graph", str(graph_file)]) == 0
+    captured = capsys.readouterr()
+    assert "connected=False" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["reproduce", "all", "--out", "{out}"], 15),
+    (["sweep", "--out", "{out}"], 0),
+    (["sweep", "--coupled", "--out", "{out}"], 5),
+    (["solve", "--graph", "path:8", "--out", "{out}"], 0),
+    (["solve", "--graph", "path:8", "--eta", "0.1", "--out", "{out}"], 1),
+    (["graph", "path:8"], 0),
+    (["graph", "path:8", "--out", "{out}"], 1),
+], ids=["reproduce-all", "sweep", "sweep-coupled", "solve", "solve-coupled", "graph",
+        "graph-out"])
+def test_jacobi_runs_only_where_an_eigenvector_is_read(tmp_path, monkeypatch, argv, calls):
+    jacobi = spectral._jacobi
+    counted = []
+
+    def counting_jacobi(a):
+        counted.append(a.shape)
+        return jacobi(a)
+
+    monkeypatch.setattr(spectral, "_jacobi", counting_jacobi)
+    main([str(tmp_path) if a == "{out}" else a for a in argv])
+    assert len(counted) == calls
+
+
+# The builtin graph-spec grammar, valid and broken. Every number stays at
+# most 64, so a spec builds at most 192 nodes: each becomes a dense Laplacian.
+_INT = (st.integers(-1, 12) | st.integers(13, 64)).map(str) | st.sampled_from(
+    ["", "x", "1.5", "1e1", " 3", "-0"])
+_WEIGHT = st.sampled_from(["0.3", "1", "1e-300", "5e-324", "1e300", "0", "-1", "nan", "inf",
+                           "", "w", "1,2"])
+_WEAKEN = (st.builds(":weaken={},{},{}".format, _INT, _INT, _WEIGHT)
+           | st.integers(0, 12).flatmap(lambda u: st.builds(
+               ":weaken={},{},{}".format, st.just(u), st.sampled_from([u + 1, u - 1]), _WEIGHT)))
+_PATH = st.builds("path:{}{}".format, _INT, st.sampled_from(["", ":", ":weaken=", ":foo=1"]) | _WEAKEN)
+_RIVER = st.lists(_INT, max_size=5).map(lambda parts: "river:" + ",".join(parts))
+_TRUNK = st.lists(_INT, min_size=2, max_size=4).map(lambda parts: "trunk:" + ",".join(parts))
+
+
+def _parses(spec):
+    try:
+        parse_graph_spec(spec)
+    except KernelFieldError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_PATH | _RIVER | _TRUNK)
+def test_graph_spec_grammar_exits_0_or_1(spec):
+    code = main(["graph", spec])
+    assert code in (0, 1)
+    assert (code == 0) == _parses(spec)
 
 
 @pytest.mark.parametrize("argv, code", [

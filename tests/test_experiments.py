@@ -63,6 +63,13 @@ def test_sweep_matches_reference_rows():
         assert abs(rec.delta_fiedler - gap) <= 5e-3
 
 
+@pytest.mark.parametrize("target", list(ex.SWEEP_TARGETS))
+def test_plain_and_coupled_rows_report_the_same_lambda1(target):
+    """Both sources read one LAPACK spectrum; only the coupled one needs eigenvectors."""
+    plain = [r.lambda1 for r in ex.run_sweep(target)]
+    assert plain == [r.lambda1 for r in ex.run_sweep(target, coupled=True)]
+
+
 def test_exp6_reference_reproduction():
     assert ex.run_exp6().passed
 

@@ -12,7 +12,7 @@ from kernelfield import (
     build_path,
     build_river_channel,
     build_trunk_roots,
-    is_connected,
+    component_count,
     laplacian,
     weaken_edge,
 )
@@ -75,7 +75,7 @@ def test_river_channel_default():
     g = build_river_channel(6, [(1, 2), (3, 2)])
     assert g.n == 10
     assert len(g.edges) == g.n - 1
-    assert is_connected(g)
+    assert component_count(g) == 1
 
 
 def test_river_channel_degenerate_is_path():
@@ -93,14 +93,14 @@ def test_trunk_roots_default():
     assert g.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 1.0), (0, 5, 1.0),
                        (0, 6, 1.0), (3, 7, 1.0), (3, 8, 1.0), (3, 9, 1.0))
     assert len(g.edges) == g.n - 1
-    assert is_connected(g)
+    assert component_count(g) == 1
 
 
 def test_trunk_roots_minimal():
     g = build_trunk_roots(2, 1, 1)
     assert g.n == 4
     assert len(g.edges) == 3
-    assert is_connected(g)
+    assert component_count(g) == 1
 
 
 def test_laplacian_p2():
@@ -113,6 +113,19 @@ def test_laplacian_rows_sum_zero():
         lap = laplacian(g)
         assert np.allclose(lap, lap.T)
         assert np.max(np.abs(lap @ np.ones(g.n))) <= 1e-12
+
+
+def test_laplacian_rejects_an_overflowing_degree():
+    # Every weight is finite, but the middle node's degree overflows.
+    with pytest.raises(InvalidGraphError, match="node 1 has a non-finite weighted degree"):
+        laplacian(Graph(3, ((0, 1, 1e308), (1, 2, 1e308))))
+
+
+def test_component_count():
+    assert component_count(Graph(1, ())) == 1
+    assert component_count(Graph(3, ())) == 3
+    assert component_count(Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))) == 2
+    assert component_count(Graph(5, ((4, 0, 1.0), (3, 1, 1.0), (1, 4, 1.0)))) == 2
 
 
 def test_laplacian_p3_spectrum():

@@ -6,11 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
     DimensionMismatchError,
-    Graph,
+    DomainError,
     InvalidMatrixError,
     SpectralKernel,
+    build_coupling,
     build_path,
     eig_symmetric,
+    eigvals_symmetric,
     heat_kernel_weights,
     hs_distance,
     laplacian,
@@ -18,7 +20,15 @@ from kernelfield import (
     weaken_edge,
 )
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
-from kernelfield.spectral import eigenbasis_to_csv
+from kernelfield.spectral import _jacobi, eigenbasis_to_csv
+
+SWEEP_ROWS = [(name, eps) for name in SWEEP_TARGETS for eps in EPS_GRID]
+
+
+def _sweep_laplacian(target, eps):
+    make, (u, v) = SWEEP_TARGETS[target]
+    g = weaken_edge(make(), u, v, eps)
+    return g, laplacian(g)
 
 P8_SPECTRUM = np.array([2 - 2 * np.cos(np.pi * l / 8) for l in range(8)])
 
@@ -48,16 +58,41 @@ def test_orthonormality_and_reconstruction(p8_basis):
     assert np.max(np.abs(lap @ phi - phi * p8_basis.lambdas)) <= 1e-9
 
 
-@pytest.mark.parametrize("target, eps", [(name, eps) for name in SWEEP_TARGETS for eps in EPS_GRID])
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS)
 def test_sweep_spectra_match_lapack(target, eps):
-    """The Jacobi spectrum of every sweep Laplacian agrees with LAPACK's."""
-    make, (u, v) = SWEEP_TARGETS[target]
-    lap = laplacian(weaken_edge(make(), u, v, eps))
+    """The LAPACK spectrum of every sweep Laplacian agrees with the Jacobi sweep's."""
+    _, lap = _sweep_laplacian(target, eps)
     lambdas = eig_symmetric(lap).lambdas
-    lapack = np.linalg.eigvalsh(lap)
-    assert np.all(np.abs(lambdas[1:] - lapack[1:]) <= 1e-12 * lapack[1:])
+    jacobi = np.sort(_jacobi(lap.copy())[0])
+    assert np.all(np.abs(lambdas[1:] - jacobi[1:]) <= 1e-12 * lambdas[1:])
     assert lambdas[0] == 0.0
-    assert abs(lapack[0]) <= 1e-12
+    assert abs(jacobi[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS)
+def test_values_only_basis_has_the_same_eigenvalues(target, eps):
+    _, lap = _sweep_laplacian(target, eps)
+    values_only = eigvals_symmetric(lap)
+    assert values_only.vectors is None
+    assert np.array_equal(values_only.lambdas, eig_symmetric(lap).lambdas)
+
+
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS)
+def test_lapack_eigenvalues_pair_with_the_jacobi_columns(target, eps):
+    _, lap = _sweep_laplacian(target, eps)
+    basis = eig_symmetric(lap)
+    residual = np.max(np.abs(lap @ basis.vectors - basis.vectors * basis.lambdas))
+    assert residual <= 1e-12 * np.max(np.abs(basis.lambdas))
+
+
+def test_vector_readers_reject_a_values_only_basis():
+    g, lap = _sweep_laplacian("path", 1.0)
+    basis = eigvals_symmetric(lap)
+    for read in (lambda: build_coupling(basis, g),
+                 lambda: materialize_kernel(basis, SpectralKernel(np.ones(8), np.ones(8))),
+                 lambda: eigenbasis_to_csv(basis)):
+        with pytest.raises(DomainError, match="build it with eig_symmetric"):
+            read()
 
 
 def test_sign_convention_deterministic(p8_basis):
@@ -71,20 +106,19 @@ def test_sign_convention_deterministic(p8_basis):
 
 
 def test_rejects_asymmetric():
-    with pytest.raises(InvalidMatrixError):
-        eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidMatrixError):
-        eig_symmetric(np.ones((2, 3)))
+    for decompose in (eig_symmetric, eigvals_symmetric):
+        with pytest.raises(InvalidMatrixError):
+            decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidMatrixError):
+            decompose(np.ones((2, 3)))
 
 
 def test_rejects_non_finite():
-    with pytest.raises(InvalidMatrixError, match="non-finite"):
-        eig_symmetric(np.array([[np.nan]]))
-    # Every weight is finite, but the middle node's degree overflows.
-    with np.errstate(over="ignore"):
-        lap = laplacian(Graph(3, ((0, 1, 1e308), (1, 2, 1e308))))
-    with pytest.raises(InvalidMatrixError, match="non-finite"):
-        eig_symmetric(lap)
+    for decompose in (eig_symmetric, eigvals_symmetric):
+        with pytest.raises(InvalidMatrixError, match="non-finite"):
+            decompose(np.array([[np.nan]]))
+        with pytest.raises(InvalidMatrixError, match="non-finite"):
+            decompose(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
 
 
 def test_materialize_identity(p8_basis):
