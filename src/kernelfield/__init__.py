@@ -50,7 +50,6 @@ from .spectral import (
     EigenBasis,
     SpectralKernel,
     eig_symmetric,
-    eigvals_symmetric,
     heat_kernel_weights,
     hs_distance,
     materialize_kernel,

@@ -29,7 +29,7 @@ from .errors import KernelFieldError, NumericalError
 from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import SourceSpec, WeightRule
 from .graph import _is_number
-from .spectral import eig_symmetric, eigenbasis_to_csv, eigvals_symmetric
+from .spectral import eig_symmetric, eigenbasis_to_csv
 
 
 def parse_graph_spec(spec: str) -> graphmod.Graph:
@@ -102,7 +102,8 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
-def _make_spec(args, config, eta, basis, g) -> SourceSpec:
+def _make_spec(args, config, basis, g) -> SourceSpec:
+    eta = float(_setting(args, config, "eta", 0.0))
     sigma2 = float(_setting(args, config, "sigma2", 1.0))
     mu2 = float(_setting(args, config, "mu2", 2.0))
     weights = _setting(args, config, "weights", "uniform")
@@ -114,10 +115,8 @@ def _make_spec(args, config, eta, basis, g) -> SourceSpec:
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     g = parse_graph_spec(_setting(args, config, "graph", "path:8"))
-    eta = float(_setting(args, config, "eta", 0.0))
-    # Only the coupling matrix reads eigenvectors.
-    basis = (eig_symmetric if eta > 0 else eigvals_symmetric)(graphmod.laplacian(g))
-    spec = _make_spec(args, config, eta, basis, g)
+    basis = eig_symmetric(graphmod.laplacian(g))
+    spec = _make_spec(args, config, basis, g)
     tol = float(_setting(args, config, "tol", 1e-12))
     max_iter = _setting(args, config, "max_iter", 200)
     out = _setting(args, config, "out", ".")
@@ -180,8 +179,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_graph(args) -> int:
     g = parse_graph_spec(args.graph)
-    # Only eigenbasis.csv reads eigenvectors.
-    basis = (eig_symmetric if args.out else eigvals_symmetric)(graphmod.laplacian(g))
+    basis = eig_symmetric(graphmod.laplacian(g))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, "graph.json"), graphmod.to_json(g))

@@ -18,7 +18,7 @@ from . import field, graph, stability
 from .diagnostics import spectral_entropy
 from .errors import DomainError
 from .field import SourceSpec, WeightRule
-from .spectral import SpectralKernel, eig_symmetric, eigvals_symmetric, heat_kernel_weights
+from .spectral import SpectralKernel, eig_symmetric, heat_kernel_weights
 
 # Edge-weakening grid used throughout the sweeps.
 EPS_GRID = (1.000, 0.644, 0.287, 0.109, 0.020)
@@ -86,7 +86,7 @@ def _result(exp_id: str, passed: bool, metrics: dict, out_dir: str | None,
 
 
 def _p8_setup():
-    basis = eigvals_symmetric(graph.laplacian(graph.build_path(8)))
+    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
     return basis, SourceSpec(sigma2=1.0, mu2=2.0)
 
 
@@ -213,15 +213,13 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
     """Weaken edge (u, v) over eps_values and re-solve the field equation each time.
 
     The source has sigma2=1, mu2=2 and eigenvalue mode weights. The coupling
-    matrix, when requested, is rebuilt per eps from the perturbed adjacency;
-    only then are eigenvectors computed. Rows that fail to converge are
-    recorded with converged=False, not raised.
+    matrix, when requested, is rebuilt per eps from the perturbed adjacency.
+    Rows that fail to converge are recorded with converged=False, not raised.
     """
-    decompose = eig_symmetric if coupled else eigvals_symmetric
     records = []
     for eps in eps_values:
         g = graph.weaken_edge(base, u, v, eps)
-        basis = decompose(graph.laplacian(g))
+        basis = eig_symmetric(graph.laplacian(g))
         coupling = field.build_coupling(basis, g) if coupled else None
         spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE,
                           eta=eta if coupled else 0.0, coupling=coupling)

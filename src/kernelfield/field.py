@@ -103,9 +103,9 @@ def build_coupling(basis: EigenBasis, g: graphmod.Graph) -> np.ndarray:
     value keeps entries nonnegative so they can serve as entropy weights.
 
     Raises:
-        DomainError: a values-only basis (see spectral.eig_symmetric).
+        NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
-    phi = basis.require_vectors()
+    phi = basis.vectors
     c = np.abs(phi.T @ graphmod.adjacency(g) @ phi)
     np.fill_diagonal(c, 0.0)
     sums = c.sum(axis=1)

@@ -7,7 +7,7 @@ which is fine at the desk scales this package targets (N <= 128).
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -17,13 +17,18 @@ from .errors import EdgeNotFoundError, InvalidGraphError
 
 Edge = tuple[int, int, float]
 
+# The largest edge weight a Graph accepts. A Laplacian entry is then at most
+# N * 1e100, so a degree, and a sum of squares over the whole Laplacian, stay
+# far below binary64's top (1.8e308) at any N this package targets.
+MAX_WEIGHT = 1e100
+
 
 @dataclass(frozen=True)
 class Graph:
     """Weighted undirected graph with 0-based node indices.
 
-    Edges are stored as (u, v, w) triples with u != v and w finite and
-    positive; each unordered pair appears at most once.
+    Edges are stored as (u, v, w) triples with u != v and
+    0 < w <= MAX_WEIGHT; each unordered pair appears at most once.
     """
 
     n: int
@@ -42,8 +47,8 @@ class Graph:
             if key in seen:
                 raise InvalidGraphError(f"duplicate edge {key}")
             seen.add(key)
-            if not (w > 0 and math.isfinite(w)):
-                raise InvalidGraphError(f"edge {key} weight must be finite and positive, got {w}")
+            if not 0 < w <= MAX_WEIGHT:
+                raise InvalidGraphError(f"edge {key} weight must be in (0, {MAX_WEIGHT:g}], got {w}")
 
 
 def build_path(n: int) -> Graph:
@@ -62,7 +67,7 @@ def weaken_edge(g: Graph, u: int, v: int, eps: float) -> Graph:
 
     Raises:
         EdgeNotFoundError: if (u, v) is not an edge of g.
-        InvalidGraphError: if eps is not finite and positive.
+        InvalidGraphError: if eps is not in (0, MAX_WEIGHT].
     """
     key = (min(u, v), max(u, v))
     edges = []
@@ -129,19 +134,9 @@ def adjacency(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Unnormalized Laplacian L = D - A with weighted degrees.
-
-    Raises:
-        InvalidGraphError: a weighted degree overflows binary64.
-    """
+    """Unnormalized Laplacian L = D - A with weighted degrees."""
     a = adjacency(g)
-    with np.errstate(over="ignore"):
-        degrees = a.sum(axis=1)
-    overflowed = np.flatnonzero(~np.isfinite(degrees))
-    if overflowed.size:
-        raise InvalidGraphError(f"node {overflowed[0]} has a non-finite weighted degree "
-                                f"(its edge weights sum past the binary64 range)")
-    return np.diag(degrees) - a
+    return np.diag(a.sum(axis=1)) - a
 
 
 def component_count(g: Graph) -> int:
@@ -177,7 +172,8 @@ def to_json(g: Graph) -> str:
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float)  # a JSON number; bool is not one
+    """A JSON number that binary64 holds: not a bool, nor an integer beyond its range."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def _is_edge(e) -> bool:
@@ -189,12 +185,13 @@ def from_json(text: str) -> Graph:
     """Parse the to_json wire format.
 
     n and every node id must be JSON integers and every weight a JSON
-    number (a boolean is neither); an integer weight loads as a float.
+    number in the binary64 range (a boolean is neither); an integer weight
+    loads as a float.
 
     Raises:
-        InvalidGraphError: malformed JSON, a missing key, a value of the
-            wrong type or an integer weight beyond binary64 ("malformed
-            graph JSON: ..."), or a graph that Graph rejects.
+        InvalidGraphError: malformed JSON, a missing key or a value of the
+            wrong type ("malformed graph JSON: ..."), or a graph that Graph
+            rejects.
     """
     try:
         obj = json.loads(text)
@@ -209,7 +206,4 @@ def from_json(text: str) -> Graph:
         if not _is_edge(e):
             raise InvalidGraphError("malformed graph JSON: an edge must be [u, v, w] with "
                                     f"integer nodes and a numeric weight, got {e!r}")
-    try:
-        return Graph(n, tuple((u, v, float(w)) for u, v, w in edges))
-    except OverflowError as exc:  # an integer weight beyond binary64
-        raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
+    return Graph(n, tuple((u, v, float(w)) for u, v, w in edges))

@@ -1,23 +1,26 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
 Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh): the Laplacian
-spectrum here, the stability Hessian's in stability. eigvals_symmetric
-returns a values-only basis for callers that read no eigenvector: the
+spectrum here, the stability Hessian's in stability. eig_symmetric is the
+one basis constructor. It computes the eigenvalues at once and the
+eigenvector columns on the first read of EigenBasis.vectors, since the
 uncoupled field equation, its Hessian and the spectral entropy depend on
-the eigenvalues alone. eig_symmetric adds the eigenvector columns from a
-cyclic Jacobi sweep: deterministic, and accurate well past the 1e-9
-residual budget at the matrix sizes used here. The Jacobi stays because the
-coupled outputs read the eigenvectors, which are not unique where an
-eigenvalue repeats: until the basis is made canonical on such subspaces,
-another solver would change those numbers. An eigenvector's sign is not
-fixed here; every reader but eigenbasis.csv is invariant under flipping a
-column, and that file applies its own sign convention.
+the eigenvalues alone. The columns come from a cyclic Jacobi sweep:
+deterministic, and accurate well past the 1e-9 residual budget at the
+matrix sizes used here. The Jacobi stays because the coupled outputs read
+the eigenvectors, which are not unique where an eigenvalue repeats: until
+the basis is made canonical on such subspaces, another solver would change
+those numbers. Its NumericalError therefore comes from reading vectors.
+An eigenvector's sign is not fixed here; every reader but eigenbasis.csv
+is invariant under flipping a column, and that file applies its own sign
+convention.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,26 +34,28 @@ _MAX_SWEEPS = 100
 class EigenBasis:
     """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l]).
 
-    vectors is None in a values-only basis from eigvals_symmetric.
+    Build it with eig_symmetric. vectors is computed on its first read from
+    the symmetrized matrix the basis keeps, and cached.
     """
 
     lambdas: np.ndarray
-    vectors: np.ndarray | None = None
+    matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.lambdas)
 
-    def require_vectors(self) -> np.ndarray:
-        """The eigenvector columns.
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only eigenvector columns from the Jacobi sweep, ordered by its eigenvalues.
 
         Raises:
-            DomainError: a values-only basis.
+            NumericalError: sweep budget exhausted.
         """
-        if self.vectors is None:
-            raise DomainError("this basis holds eigenvalues only; "
-                              "build it with eig_symmetric to read eigenvectors")
-        return self.vectors
+        jacobi_lam, vec = _jacobi(self.matrix.copy())
+        vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
+        vec.setflags(write=False)
+        return vec
 
 
 def check_positive(h: np.ndarray):
@@ -132,40 +137,23 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigvals_symmetric(mat: np.ndarray) -> EigenBasis:
-    """The ascending eigenvalues of a symmetric matrix as a values-only basis.
-
-    The eigenvalues are bit-equal to eig_symmetric's; vectors is None, so
-    build_coupling, materialize_kernel and eigenbasis_to_csv reject it.
-
-    Raises:
-        InvalidMatrixError: not square, a non-finite entry, or asymmetry
-            above 1e-9.
-    """
-    return EigenBasis(_eigenvalues(_symmetrized(mat)))
-
-
 def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     """Eigendecompose a symmetric matrix into an ascending basis.
 
-    The eigenvalues come from LAPACK, exactly as in eigvals_symmetric, and
-    an eigenvalue in [-1e-10, 1e-10] at the bottom of the spectrum is
-    clamped to exactly 0 so eigenvalue-derived mode weights stay sign-clean.
-    The eigenvector columns come from the cyclic Jacobi sweep, ordered by
-    the Jacobi's own eigenvalues. Each eigenvector's sign is whatever the
-    sweep produced.
+    The eigenvalues come from LAPACK, and an eigenvalue in [-1e-10, 1e-10]
+    at the bottom of the spectrum is clamped to exactly 0 so
+    eigenvalue-derived mode weights stay sign-clean. The eigenvector
+    columns come from the cyclic Jacobi sweep when vectors is first read,
+    so that read may raise the sweep's NumericalError. Each eigenvector's
+    sign is whatever the sweep produced.
 
     Raises:
         InvalidMatrixError: not square, a non-finite entry, or asymmetry
             above 1e-9.
-        NumericalError: sweep budget exhausted.
     """
     sym = _symmetrized(mat)
-    lam = _eigenvalues(sym)
-    jacobi_lam, vec = _jacobi(sym)
-    vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
-    vec.setflags(write=False)
-    return EigenBasis(lam, vec)
+    sym.setflags(write=False)
+    return EigenBasis(_eigenvalues(sym), sym)
 
 
 def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
@@ -173,11 +161,11 @@ def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
 
     Raises:
         DimensionMismatchError: kernel and basis sizes differ.
-        DomainError: a values-only basis.
+        NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
     if len(kernel.h) != basis.n:
         raise DimensionMismatchError("kernel length does not match basis size")
-    phi = basis.require_vectors()
+    phi = basis.vectors
     return (phi * kernel.h) @ phi.T
 
 
@@ -202,9 +190,9 @@ def eigenbasis_to_csv(basis: EigenBasis) -> str:
     of magnitude above 1e-12 positive.
 
     Raises:
-        DomainError: a values-only basis.
+        NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
-    phi = basis.require_vectors()
+    phi = basis.vectors
     buf = io.StringIO()
     for l in range(basis.n):
         col = phi[:, l]

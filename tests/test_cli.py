@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import kernelfield
 from kernelfield import experiments, spectral
-from kernelfield.cli import main, parse_graph_spec
+from kernelfield.cli import _CONFIG_TYPES, main, parse_graph_spec
 from kernelfield.errors import KernelFieldError
 from kernelfield.graph import build_path, build_river_channel, build_trunk_roots, weaken_edge
 
@@ -156,12 +158,12 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
-# A graph file of the wrong JSON types, with a weighted degree that overflows
-# or with no Laplacian eigenvalue above the zero-mode tolerance is an input
-# error.
+# A graph file of the wrong JSON types, with a weight above the bound (one
+# whose weighted degree would overflow) or with no Laplacian eigenvalue above
+# the zero-mode tolerance is an input error.
 @pytest.mark.parametrize("argv, graph_text, message", [
     (["graph"], '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}', "malformed graph JSON"),
-    (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "non-finite"),
+    (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "weight must be in (0, 1e+100]"),
     (["solve", "--graph"], '{"n": 1, "edges": []}', "zero-mode tolerance"),
     (["solve", "--graph"], '{"n": 2, "edges": []}', "zero-mode tolerance"),
     (["solve", "--graph"], '{"n": 2, "edges": [[0, 1, 1e-12]]}', "zero-mode tolerance"),
@@ -185,8 +187,7 @@ def test_degree_overflow_is_one_error_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: node 1 has a non-finite weighted degree "
-        "(its edge weights sum past the binary64 range)"]
+        "error: edge (0, 1) weight must be in (0, 1e+100], got 1e+308"]
 
 
 def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):
@@ -318,6 +319,52 @@ def test_solve_config_type_error_exit_1(tmp_path, capsys, monkeypatch, setting):
     assert main(["solve", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config {next(iter(setting))} must be ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# Every JSON kind as the value of one config key that solve reads. A string
+# graph is one of a few small specs, since a generated path:100000 would
+# allocate a dense 80 GB Laplacian, and a string out is a directory under the
+# test's temporary one. max_iter draws small integers, since a huge budget on a
+# non-converging source would loop for hours.
+_SOLVE_SPECS = ["path:3", "path:8", "trunk:2,1,1", "river:4,1,2"]
+_NUMBER = st.integers() | st.floats(allow_nan=False) | st.just(10**400)  # 1e400 loads as inf
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+_NOT_STRING = st.none() | st.booleans() | st.lists(_JSON, max_size=3) | st.dictionaries(
+    st.text(max_size=3), _JSON, max_size=3)
+_CONFIG_VALUES = {
+    "graph": st.sampled_from(_SOLVE_SPECS + ["path:0"]) | _NUMBER | _NOT_STRING,
+    "out": st.sampled_from(["out", "a/b"]) | _NUMBER | _NOT_STRING,
+    "max_iter": st.integers(-2, 300) | st.floats(allow_nan=False) | st.text(max_size=4) | _NOT_STRING,
+    "weights": st.sampled_from(["uniform", "eigenvalue"]) | st.text(max_size=4) | _NUMBER | _NOT_STRING,
+}
+_SOLVE_KEYS = ("graph", "sigma2", "mu2", "weights", "eta", "tol", "max_iter", "out")
+
+
+# Run as the CLI runs, where numpy's RuntimeWarnings print and do not raise:
+# extreme parameters (sigma2 near 1e154, or mu2 near 1000 so that h* underflows)
+# warn inside the numerics, which is not what this grammar test is about.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_SOLVE_SPECS), st.sampled_from(_SOLVE_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), _CONFIG_VALUES.get(key, _NUMBER | st.text(max_size=4) | _NOT_STRING))))
+def test_solve_config_grammar(tmp_path_factory, spec, setting):
+    """One config key of any JSON kind: exit 1 naming the key exactly when its type
+    test fails, and otherwise exit 0, 1 or 2 without a traceback."""
+    key, value = setting
+    root = tmp_path_factory.mktemp("config")
+    if key == "out" and type(value) is str:
+        value = str(root / value)
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"graph": spec, "out": str(root / "out"), key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", str(cfg)])
+    named = code == 1 and err.getvalue().startswith(f"error: config {key} must be ")
+    assert code in (0, 1, 2)
+    assert named == (not _CONFIG_TYPES[key][1](value))
 
 
 @pytest.mark.parametrize("argv, setting, message", [

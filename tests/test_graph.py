@@ -16,7 +16,7 @@ from kernelfield import (
     laplacian,
     weaken_edge,
 )
-from kernelfield.graph import from_json, to_json
+from kernelfield.graph import MAX_WEIGHT, from_json, to_json
 
 
 def test_build_path_p8():
@@ -116,8 +116,9 @@ def test_laplacian_rows_sum_zero():
 
 
 def test_laplacian_rejects_an_overflowing_degree():
-    # Every weight is finite, but the middle node's degree overflows.
-    with pytest.raises(InvalidGraphError, match="node 1 has a non-finite weighted degree"):
+    # Every weight is finite, and the middle node's degree would overflow;
+    # the weight bound rejects the graph before a Laplacian is built.
+    with pytest.raises(InvalidGraphError, match=r"edge \(0, 1\) weight must be in \(0, 1e\+100\]"):
         laplacian(Graph(3, ((0, 1, 1e308), (1, 2, 1e308))))
 
 
@@ -137,7 +138,7 @@ def test_laplacian_p3_spectrum():
 @st.composite
 def graphs(draw):
     """Valid graphs: 1 to 12 nodes, a random edge subset in random order and
-    orientation, finite positive weights from 1e-300 to 1e300."""
+    orientation, positive weights from 1e-300 to MAX_WEIGHT."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -145,15 +146,25 @@ def graphs(draw):
     for u, v in chosen:
         if draw(st.booleans()):
             u, v = v, u
-        edges.append((u, v, draw(st.floats(1e-300, 1e300))))
+        edges.append((u, v, draw(st.floats(1e-300, MAX_WEIGHT))))
     return Graph(n, tuple(edges))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs())
 @example(weaken_edge(build_path(8), 2, 3, 0.1 + 0.2))  # weight not exact in decimal
+@example(weaken_edge(build_path(3), 0, 1, MAX_WEIGHT))
 def test_json_round_trip_bit_exact(g):
     assert from_json(to_json(g)) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(min_value=MAX_WEIGHT, exclude_min=True))
+@example(float(np.nextafter(MAX_WEIGHT, np.inf)))
+@example(float("inf"))
+def test_a_weight_above_the_bound_is_rejected(w):
+    with pytest.raises(InvalidGraphError, match="weight must be in"):
+        Graph(2, ((0, 1, w),))
 
 
 # JSON values that are not integers, and ones that are not numbers.

@@ -6,19 +6,23 @@ from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
     DimensionMismatchError,
-    DomainError,
     InvalidMatrixError,
+    SourceSpec,
     SpectralKernel,
+    WeightRule,
     build_coupling,
     build_path,
+    diagnostics_record,
     eig_symmetric,
-    eigvals_symmetric,
     heat_kernel_weights,
     hs_distance,
     laplacian,
     materialize_kernel,
+    solve_fixed_point,
+    stability_report,
     weaken_edge,
 )
+from kernelfield import spectral
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
 from kernelfield.spectral import _jacobi, eigenbasis_to_csv
 
@@ -31,6 +35,19 @@ def _sweep_laplacian(target, eps):
     return g, laplacian(g)
 
 P8_SPECTRUM = np.array([2 - 2 * np.cos(np.pi * l / 8) for l in range(8)])
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """The list of matrix shapes spectral._jacobi is called on during the test."""
+    calls = []
+
+    def counting_jacobi(a):
+        calls.append(a.shape)
+        return _jacobi(a)
+
+    monkeypatch.setattr(spectral, "_jacobi", counting_jacobi)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +86,42 @@ def test_sweep_spectra_match_lapack(target, eps):
     assert abs(jacobi[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS + [("p8", None)])
+def test_laplacian_spectra_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error):
+    """LAPACK against 50-digit mpmath.eigsy on the same binary64 Laplacian.
+
+    Measured: relative error at most 1.4e-14 (river, eps=0.02, on lambda1);
+    the exact bottom eigenvalue is at most 2.8e-17, from the rounded degrees.
+    """
+    lap = laplacian(build_path(8)) if target == "p8" else _sweep_laplacian(target, eps)[1]
+    lambdas = eig_symmetric(lap).lambdas
+    ref = mp_eigvalsh(lap)
+    assert lambdas[0] == 0.0 and abs(ref[0]) <= 1e-15
+    assert max(mp_rel_error(lambdas[l], ref[l]) for l in range(1, len(ref))) <= 1e-13
+
+
 @pytest.mark.parametrize("target, eps", SWEEP_ROWS)
-def test_values_only_basis_has_the_same_eigenvalues(target, eps):
+def test_values_only_basis_has_the_same_eigenvalues(target, eps, jacobi_calls):
+    """Until vectors is read the basis holds values only; the first read runs the Jacobi once."""
     _, lap = _sweep_laplacian(target, eps)
-    values_only = eigvals_symmetric(lap)
-    assert values_only.vectors is None
-    assert np.array_equal(values_only.lambdas, eig_symmetric(lap).lambdas)
+    basis = eig_symmetric(lap)
+    lambdas = basis.lambdas.copy()
+    assert jacobi_calls == []
+    phi = basis.vectors
+    assert jacobi_calls == [lap.shape]
+    assert basis.vectors is phi and len(jacobi_calls) == 1
+    assert not phi.flags.writeable
+    assert np.array_equal(basis.lambdas, lambdas)
+
+
+def test_a_values_only_pipeline_runs_no_jacobi(jacobi_calls):
+    """Solve, stability and diagnostics read eigenvalues only, as a parameter scan does."""
+    basis = eig_symmetric(laplacian(build_path(128)))
+    spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE)
+    report = solve_fixed_point(spec, basis, np.ones(basis.n))
+    stability_report(spec, basis, report.h_star)
+    diagnostics_record(report.h_star.h, report.h_star.h0)
+    assert report.converged and jacobi_calls == []
 
 
 @pytest.mark.parametrize("target, eps", SWEEP_ROWS)
@@ -85,14 +132,14 @@ def test_lapack_eigenvalues_pair_with_the_jacobi_columns(target, eps):
     assert residual <= 1e-12 * np.max(np.abs(basis.lambdas))
 
 
-def test_vector_readers_reject_a_values_only_basis():
+def test_vector_readers_share_one_jacobi_run(jacobi_calls):
     g, lap = _sweep_laplacian("path", 1.0)
-    basis = eigvals_symmetric(lap)
-    for read in (lambda: build_coupling(basis, g),
-                 lambda: materialize_kernel(basis, SpectralKernel(np.ones(8), np.ones(8))),
-                 lambda: eigenbasis_to_csv(basis)):
-        with pytest.raises(DomainError, match="build it with eig_symmetric"):
-            read()
+    basis = eig_symmetric(lap)
+    assert jacobi_calls == []
+    build_coupling(basis, g)
+    materialize_kernel(basis, SpectralKernel(np.ones(8), np.ones(8)))
+    eigenbasis_to_csv(basis)
+    assert jacobi_calls == [(8, 8)]
 
 
 def test_sign_convention_deterministic(p8_basis):
@@ -106,19 +153,17 @@ def test_sign_convention_deterministic(p8_basis):
 
 
 def test_rejects_asymmetric():
-    for decompose in (eig_symmetric, eigvals_symmetric):
-        with pytest.raises(InvalidMatrixError):
-            decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(InvalidMatrixError):
-            decompose(np.ones((2, 3)))
+    with pytest.raises(InvalidMatrixError):
+        eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidMatrixError):
+        eig_symmetric(np.ones((2, 3)))
 
 
 def test_rejects_non_finite():
-    for decompose in (eig_symmetric, eigvals_symmetric):
-        with pytest.raises(InvalidMatrixError, match="non-finite"):
-            decompose(np.array([[np.nan]]))
-        with pytest.raises(InvalidMatrixError, match="non-finite"):
-            decompose(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(InvalidMatrixError, match="non-finite"):
+        eig_symmetric(np.array([[np.nan]]))
+    with pytest.raises(InvalidMatrixError, match="non-finite"):
+        eig_symmetric(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
 
 
 def test_materialize_identity(p8_basis):
