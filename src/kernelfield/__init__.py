@@ -42,7 +42,6 @@ from .graph import (
     build_path,
     build_river_channel,
     build_trunk_roots,
-    component_count,
     laplacian,
     weaken_edge,
 )

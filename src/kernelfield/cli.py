@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
     _write_atomic(os.path.join(out, "fixed_point.json"), report.to_json())
     _write_atomic(os.path.join(out, "stability.json"), srep.to_json())
     _write_atomic(os.path.join(out, "diagnostics.json"), drec.to_json())
-    components = graphmod.component_count(g)
+    components = basis.components
     if components > 1:
         print(f"warning: graph has {components} connected components, so its Laplacian's "
               f"zero eigenvalue is {components}-fold", file=sys.stderr)
@@ -184,7 +184,7 @@ def cmd_graph(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, "graph.json"), graphmod.to_json(g))
         _write_atomic(os.path.join(args.out, "eigenbasis.csv"), eigenbasis_to_csv(basis))
-    print(f"n={g.n} edges={len(g.edges)} connected={graphmod.component_count(g) == 1}")
+    print(f"n={g.n} edges={len(g.edges)} connected={basis.components == 1}")
     print("eigenvalues: " + " ".join(f"{x:.6g}" for x in basis.lambdas))
     return 0
 

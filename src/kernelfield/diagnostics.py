@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, NumericalError
 from .spectral import check_positive
 
 DEFAULT_ALARM_MARGIN = 0.05  # nats
@@ -51,10 +51,20 @@ def spectral_entropy(h: np.ndarray) -> float:
 
 
 def fisher_rao_diag(h: np.ndarray) -> np.ndarray:
-    """Diagonal Fisher-Rao metric I_ll = 1 / (2 h_l^2)."""
+    """Diagonal Fisher-Rao metric I_ll = 1 / (2 h_l^2).
+
+    Raises:
+        NumericalError: an entry or the trace (which von_neumann_entropy
+            divides by) overflows binary64, as when some h_l is below 1e-154.
+    """
     h = np.asarray(h, dtype=float)
     check_positive(h)
-    return 1.0 / (2.0 * h**2)
+    with np.errstate(over="ignore", divide="ignore"):
+        fisher = 1.0 / (2.0 * h**2)
+        trace = fisher.sum()
+    if not np.isfinite(trace):
+        raise NumericalError(f"Fisher-Rao metric 1/(2 h^2) overflows binary64 at min h = {h.min():.3g}")
+    return fisher
 
 
 def von_neumann_entropy(fisher: np.ndarray) -> float:

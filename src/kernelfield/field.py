@@ -22,6 +22,10 @@ from .spectral import EigenBasis, SpectralKernel, check_positive
 
 _EXP_GUARD = 700.0  # exp argument beyond this over/underflows binary64
 
+# The largest sigma2 a SourceSpec accepts, so that (sigma2 + h)^2 in the
+# source Jacobian stays far below binary64's top (1.8e308).
+MAX_SIGMA2 = 1e100
+
 
 class WeightRule(enum.Enum):
     """Per-mode weight w_l in the mutual-information source."""
@@ -36,9 +40,9 @@ class SourceSpec:
 
     T_l[h] = mu2 * w_l / (2 * (sigma2 + h_l)) + eta * (C h)_l
 
-    The coupling matrix C must be nonnegative with zero diagonal and rows
-    summing to 1 (or to 0 for empty rows); eta is zero exactly when no
-    coupling matrix is supplied.
+    sigma2 lies in (0, MAX_SIGMA2]. The coupling matrix C must be
+    nonnegative with zero diagonal and rows summing to 1 (or to 0 for empty
+    rows); eta is zero exactly when no coupling matrix is supplied.
     """
 
     sigma2: float = 1.0
@@ -51,8 +55,8 @@ class SourceSpec:
         if not np.all(np.isfinite([self.sigma2, self.mu2, self.eta])):
             raise DomainError(f"sigma2, mu2 and eta must be finite, got "
                               f"{self.sigma2}, {self.mu2}, {self.eta}")
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0 < self.sigma2 <= MAX_SIGMA2:
+            raise DomainError(f"sigma2 must be in (0, {MAX_SIGMA2:g}], got {self.sigma2}")
         if self.mu2 < 0 or self.eta < 0:
             raise DomainError("mu2 and eta must be nonnegative")
         if (self.eta == 0) != (self.coupling is None):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,29 +136,6 @@ def laplacian(g: Graph) -> np.ndarray:
     """Unnormalized Laplacian L = D - A with weighted degrees."""
     a = adjacency(g)
     return np.diag(a.sum(axis=1)) - a
-
-
-def component_count(g: Graph) -> int:
-    """Number of connected components, by BFS from each node not yet reached."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    count = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return count
 
 
 def to_json(g: Graph) -> str:

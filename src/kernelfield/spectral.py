@@ -34,8 +34,10 @@ _MAX_SWEEPS = 100
 class EigenBasis:
     """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l]).
 
-    Build it with eig_symmetric. vectors is computed on its first read from
-    the symmetrized matrix the basis keeps, and cached.
+    Build it with eig_symmetric. vectors and components are computed on
+    their first read from the symmetrized matrix the basis keeps, and cached.
+    For a graph Laplacian, components is the multiplicity of the zero
+    eigenvalue, so the zero modes are the first `components` columns.
     """
 
     lambdas: np.ndarray
@@ -56,6 +58,27 @@ class EigenBasis:
         vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
         vec.setflags(write=False)
         return vec
+
+    @cached_property
+    def components(self) -> int:
+        """Connected components of the kept matrix's off-diagonal nonzero pattern, by BFS."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in zip(*(idx.tolist() for idx in np.nonzero(self.matrix))):
+            adj[u].append(v)  # a diagonal entry is a self-loop, which the search skips
+        seen = [False] * self.n
+        count = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = True
+            stack = [start]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(v)
+        return count
 
 
 def check_positive(h: np.ndarray):

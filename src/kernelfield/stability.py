@@ -7,7 +7,9 @@ sees the symmetric part, so the definiteness verdict (and the gap Delta)
 are computed from the spectrum of (H + H^T) / 2, taken with LAPACK
 (numpy.linalg.eigvalsh) like the Laplacian spectrum, but without
 spectral's bottom-eigenvalue clamp, which is a Laplacian convention. The
-Fiedler-mode gap Delta' uses the raw diagonal entries over nonzero modes.
+Fiedler-mode gap Delta' uses the raw diagonal entries over the nonzero
+modes. Which modes are zero is structural, not a tolerance: a Laplacian
+has one zero mode per connected component (EigenBasis.components).
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .diagnostics import shannon
 from .errors import DomainError
 from .field import SourceSpec, source_jacobian
 from .spectral import EigenBasis, SpectralKernel
-
-_ZERO_MODE_TOL = 1e-10
-_EMPTY_ROW_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,8 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
 
     Rows with no off-diagonal mass carry the maximal entropy ln(N-1), the
     convention under which a strictly diagonal source reports the maximum
-    (no preferential coupling).
+    (no preferential coupling). Off the diagonal H is exactly -eta*C, and
+    build_coupling zeroes an empty row of C exactly, so no tolerance is needed.
     """
     mag = np.abs(mat)
     n = mag.shape[0]
@@ -76,7 +76,7 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
     for l in range(n):
         off = np.delete(mag[l], l)
         mass = off.sum()
-        if mass < _EMPTY_ROW_TOL:
+        if mass == 0:
             total += np.log(n - 1)
             continue
         total += shannon(off / mass)
@@ -89,19 +89,20 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     One Jacobian and one symmetric eigenvalue solve: the margins are
     J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
     the gap Delta is -max eig sym(H), and the coupling entropy is read off
-    H because off the diagonal |H_lm| = |J_lm|.
+    H because off the diagonal |H_lm| = |J_lm|. Delta' skips the first
+    basis.components modes, the Laplacian's zero modes.
 
     Raises:
-        DomainError: no Laplacian eigenvalue exceeds the zero-mode
-            tolerance, so the Fiedler gap is undefined.
+        DomainError: every mode is a zero mode (a graph with no edge), so
+            the Fiedler gap is undefined.
     """
     hess = hessian(spec, basis, kernel)
     eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
     margins = -np.diag(hess)
-    nonzero_margins = margins[basis.lambdas > _ZERO_MODE_TOL]
+    nonzero_margins = margins[basis.components:]
     if not nonzero_margins.size:
-        raise DomainError(f"no Laplacian eigenvalue exceeds the zero-mode tolerance "
-                          f"{_ZERO_MODE_TOL:g}, so the Fiedler gap is undefined")
+        raise DomainError(f"the graph has no edge, so all {basis.n} Laplacian modes are "
+                          "zero modes and the Fiedler gap is undefined")
     return StabilityReport(
         hessian=hess,
         eigenvalues=eigs,

@@ -39,3 +39,34 @@ def mp_findroot():
             return mpmath.findroot(f, mpmath.mpf(start))
 
     return findroot
+
+
+@pytest.fixture(scope="session")
+def mp_eigenvectors():
+    """mpmath.eigsy's eigenvector columns of a float symmetric matrix, in ascending
+    eigenvalue order, rounded to binary64: the best columns binary64 can hold."""
+
+    def eigenvectors(mat: np.ndarray) -> np.ndarray:
+        n = mat.shape[0]
+        with mpmath.workdps(ORACLE_DPS):
+            ev, q = mpmath.eigsy(mpmath.matrix(mat.tolist()))
+            order = sorted(range(n), key=lambda i: ev[i])
+            return np.array([[float(q[i, j]) for j in order] for i in range(n)])
+
+    return eigenvectors
+
+
+@pytest.fixture(scope="session")
+def mp_eig_residual():
+    """max |L Phi - Phi Lambda| of a float matrix, eigenvalues and columns, evaluated
+    at the oracle's precision, so no binary64 rounding enters the residual itself."""
+
+    def residual(mat: np.ndarray, lambdas: np.ndarray, vectors: np.ndarray) -> float:
+        n = mat.shape[0]
+        with mpmath.workdps(ORACLE_DPS):
+            phi = mpmath.matrix(vectors.tolist())
+            lphi = mpmath.matrix(mat.tolist()) * phi
+            return float(max(abs(lphi[i, j] - phi[i, j] * mpmath.mpf(float(lambdas[j])))
+                             for i in range(n) for j in range(n)))
+
+    return residual

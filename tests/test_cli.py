@@ -159,15 +159,14 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
 
 
 # A graph file of the wrong JSON types, with a weight above the bound (one
-# whose weighted degree would overflow) or with no Laplacian eigenvalue above
-# the zero-mode tolerance is an input error.
+# whose weighted degree would overflow) or a solve on a graph with no edge,
+# whose every Laplacian mode is a zero mode, is an input error.
 @pytest.mark.parametrize("argv, graph_text, message", [
     (["graph"], '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}', "malformed graph JSON"),
     (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "weight must be in (0, 1e+100]"),
-    (["solve", "--graph"], '{"n": 1, "edges": []}', "zero-mode tolerance"),
-    (["solve", "--graph"], '{"n": 2, "edges": []}', "zero-mode tolerance"),
-    (["solve", "--graph"], '{"n": 2, "edges": [[0, 1, 1e-12]]}', "zero-mode tolerance"),
-], ids=["json-types", "degree-overflow", "one-node", "two-isolated-nodes", "tiny-weight"])
+    (["solve", "--graph"], '{"n": 1, "edges": []}', "the graph has no edge"),
+    (["solve", "--graph"], '{"n": 2, "edges": []}', "the graph has no edge"),
+], ids=["json-types", "degree-overflow", "one-node", "two-isolated-nodes"])
 def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, message):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(graph_text)
@@ -188,6 +187,54 @@ def test_degree_overflow_is_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: edge (0, 1) weight must be in (0, 1e+100], got 1e+308"]
+
+
+def test_solve_on_a_tiny_weight_edge_exits_0(tmp_path, capsys):
+    """A connected graph has one zero mode, however small its weights: the
+    Fiedler mode lambda1 ~ 2e-12 is not one."""
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"n": 2, "edges": [[0, 1, 1e-12]]}')
+    out = tmp_path / "out"
+    assert main(["solve", "--graph", str(graph_file), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "stability.json") as fh:
+        rep = json.load(fh)
+    assert rep["fiedler_gap"] == rep["margins"][1]
+
+
+def test_sweep_to_a_vanishing_edge_keeps_the_fiedler_mode(tmp_path):
+    """At eps = 1e-300 lambda1 is rounding noise, yet the path stays connected:
+    the Fiedler mode counts, and with eigenvalue weights its margin tends to e."""
+    assert main(["sweep", "--eps-values", "1,1e-300", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep_path_records.json") as fh:
+        last = json.load(fh)[-1]
+    assert last["eps"] == 1e-300
+    assert abs(last["delta_fiedler"] - np.e) <= 1e-9
+
+
+def test_a_tiny_eta_still_couples_every_row(tmp_path):
+    """eta*C is exactly zero only on an empty row of C, so the coupling
+    entropy at eta = 1e-15 is C's own, as at 1e-13, and not ln 7."""
+    entropies = []
+    for eta in ("1e-15", "1e-13"):
+        out = tmp_path / eta
+        assert main(["solve", "--graph", "path:8", "--eta", eta, "--out", str(out)]) == 0
+        with open(out / "stability.json") as fh:
+            entropies.append(json.load(fh)["coupling_entropy"])
+    assert entropies == [1.018170841299703] * 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--sigma2", "1e154"], 1, "error: sigma2 must be in (0, 1e+100], got 1e+154"),
+    (["--mu2", "1000"], 2, "numerical failure: Fisher-Rao metric 1/(2 h^2) overflows binary64"),
+], ids=["sigma2-above-bound", "fisher-overflow"])
+def test_source_parameters_stay_inside_binary64(tmp_path, capsys, argv, code, message):
+    """sigma2 is bounded like an edge weight; an h* so small that 1/(2 h^2)
+    overflows is a numerical failure, not an Infinity in diagnostics.json."""
+    out = tmp_path / "out"
+    assert main(["solve", "--graph", "path:3", *argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines()[0].startswith(message)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):
@@ -343,10 +390,6 @@ _CONFIG_VALUES = {
 _SOLVE_KEYS = ("graph", "sigma2", "mu2", "weights", "eta", "tol", "max_iter", "out")
 
 
-# Run as the CLI runs, where numpy's RuntimeWarnings print and do not raise:
-# extreme parameters (sigma2 near 1e154, or mu2 near 1000 so that h* underflows)
-# warn inside the numerics, which is not what this grammar test is about.
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from(_SOLVE_SPECS), st.sampled_from(_SOLVE_KEYS).flatmap(
     lambda key: st.tuples(st.just(key), _CONFIG_VALUES.get(key, _NUMBER | st.text(max_size=4) | _NOT_STRING))))
@@ -365,6 +408,71 @@ def test_solve_config_grammar(tmp_path_factory, spec, setting):
     named = code == 1 and err.getvalue().startswith(f"error: config {key} must be ")
     assert code in (0, 1, 2)
     assert named == (not _CONFIG_TYPES[key][1](value))
+
+
+# The same for sweep: the base config is a valid sweep of at most 3 rows on
+# a 10-node builtin target, plain or coupled, and one key is overridden. An
+# eps list holds at most 3 values, and a string out is a directory under the
+# test's temporary one.
+_SWEEP_KEYS = ("graph", "eps_values", "coupled", "eta", "out")
+_SWEEP_VALUES = {
+    "graph": st.sampled_from(["path", "river", "trunk", "path:8", ""]) | _NUMBER | _NOT_STRING,
+    "eps_values": (st.text(max_size=5) | st.lists(_NUMBER | st.booleans() | st.text(max_size=3), max_size=3)
+                   | _NUMBER | st.none() | st.booleans() | st.dictionaries(st.text(max_size=3), _JSON, max_size=3)),
+    "coupled": st.booleans() | _NUMBER | st.text(max_size=4) | _NOT_STRING,
+    "eta": _NUMBER | st.text(max_size=4) | _NOT_STRING,
+    "out": st.sampled_from(["out", "a/b"]) | _NUMBER | _NOT_STRING,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["path", "river", "trunk"]), st.booleans(),
+       st.sampled_from(_SWEEP_KEYS).flatmap(lambda key: st.tuples(st.just(key), _SWEEP_VALUES[key])))
+def test_sweep_config_grammar(tmp_path_factory, target, coupled, setting):
+    """One sweep config key of any JSON kind: exit 1 naming the key exactly when
+    its type test fails, and otherwise exit 0, 1 or 2 without a traceback."""
+    key, value = setting
+    root = tmp_path_factory.mktemp("config")
+    if key == "out" and type(value) is str:
+        value = str(root / value)
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"graph": target, "eps_values": [1.0, 0.109], "coupled": coupled,
+                               "out": str(root / "out"), key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(cfg)])
+    named = code == 1 and err.getvalue().startswith(f"error: config {key} must be ")
+    assert code in (0, 1, 2)
+    assert named == (not _CONFIG_TYPES[key][1](value))
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_json_artifact_is_strict_json(tmp_path, capsys):
+    """reproduce all, the six builtin sweeps and a set of solve and graph runs
+    write no NaN or Infinity: every .json artifact parses as strict JSON."""
+    disconnected = tmp_path / "disconnected.json"
+    disconnected.write_text('{"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}')
+    runs = [["reproduce", "all"]]
+    runs += [["sweep", "--graph", t, *c] for t in ("path", "river", "trunk") for c in ([], ["--coupled"])]
+    runs += [["solve", "--graph", g, *extra] for g, extra in [
+        ("path:8", []), ("path:8", ["--eta", "0.1"]), ("path:8", ["--eta", "1e-15"]),
+        ("trunk:4,3,3", ["--eta", "0.05", "--weights", "eigenvalue"]),
+        ("river:6,1,2,3,2", ["--weights", "eigenvalue"]),
+        ("path:8:weaken=2,3,1e-11", ["--weights", "eigenvalue"]), (str(disconnected), []),
+        ("path:3", ["--sigma2", "1e100"]), ("path:3", ["--mu2", "700"]), ("path:3", ["--mu2", "1000"])]]
+    runs += [["graph", g] for g in ("path:8", "trunk:4,3,3", str(disconnected))]
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"run{i}")]) in (0, 2)
+    capsys.readouterr()
+    artifacts = sorted(tmp_path.glob("run*/*.json"))
+    # reproduce: 8 results and exp6's and exp6b's sweep records; 6 sweep
+    # records; 3 files from each solve but --mu2 1000; 3 graph.json.
+    assert len(artifacts) == 10 + 6 + 3 * 9 + 3
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=_not_json)
 
 
 @pytest.mark.parametrize("argv, setting, message", [

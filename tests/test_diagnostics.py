@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from kernelfield import (
     DimensionMismatchError,
     DomainError,
+    NumericalError,
     diagnostics_record,
     fisher_rao_diag,
     spectral_entropy,
@@ -49,6 +50,15 @@ def test_entropy_max_iff_constant():
 def test_fisher_rao_values():
     assert np.allclose(fisher_rao_diag(np.ones(4)), 0.5)
     assert fisher_rao_diag(np.array([0.1]))[0] == pytest.approx(50.0)
+    # 1.1e308 still fits; two such entries overflow the trace (below).
+    assert fisher_rao_diag(np.array([6.7e-155]))[0] == pytest.approx(1.1138338e308)
+
+
+@pytest.mark.parametrize("h", [[2.6e-218, 1.0], [1e-160], [6.7e-155] * 2],
+                         ids=["square-underflows", "entry-overflows", "trace-overflows"])
+def test_fisher_rao_overflow_is_a_numerical_error(h):
+    with pytest.raises(NumericalError, match="overflows binary64"):
+        fisher_rao_diag(np.array(h))
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,6 +25,7 @@ from kernelfield import (
 )
 from kernelfield.diagnostics import fisher_rao_diag
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
+from kernelfield.field import MAX_SIGMA2
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -77,6 +78,9 @@ def test_source_rejects_nonpositive(p8):
 def test_spec_validation():
     with pytest.raises(DomainError):
         SourceSpec(sigma2=0.0)
+    with pytest.raises(DomainError, match=r"sigma2 must be in \(0, 1e\+100\]"):
+        SourceSpec(sigma2=float(np.nextafter(MAX_SIGMA2, np.inf)))
+    assert SourceSpec(sigma2=MAX_SIGMA2).sigma2 == 1e100
     with pytest.raises(DomainError):
         SourceSpec(eta=0.1)  # eta without coupling
     c = np.eye(2)  # nonzero diagonal

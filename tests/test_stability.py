@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
+    DomainError,
+    Graph,
     SourceSpec,
     SpectralKernel,
     StabilityReport,
@@ -237,3 +239,45 @@ def test_report_json_writes_hessian_up_to_64_modes(n, written):
     obj = json.loads(rep.to_json())
     assert ("hessian" in obj) == written
     assert len(obj["margins"]) == n
+
+
+def _union_find_components(n, edges):
+    parent = list(range(n))
+
+    def root(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for u, v, _ in edges:
+        parent[root(u)] = root(v)
+    return sum(root(u) == u for u in range(n))
+
+
+@st.composite
+def _relabelled_graphs(draw):
+    """1 to 12 nodes, any edge subset, weights log-uniform in [1e-12, 1e12],
+    and the nodes relabelled by a random permutation."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple((label[u], label[v], 10.0 ** draw(st.floats(-12.0, 12.0))) for u, v in chosen))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_relabelled_graphs(), st.data())
+def test_fiedler_gap_skips_one_zero_mode_per_component(g, data):
+    """The zero modes are counted from the graph's structure, not by a
+    tolerance on eigenvalues whose rounding scales with the largest weight."""
+    basis = eig_symmetric(laplacian(g))
+    assert basis.components == _union_find_components(g.n, g.edges)
+    h = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=g.n, max_size=g.n)))
+    kernel = SpectralKernel(h, np.ones(g.n))
+    spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE)
+    if basis.components == g.n:
+        with pytest.raises(DomainError, match="the graph has no edge"):
+            stability_report(spec, basis, kernel)
+        return
+    rep = stability_report(spec, basis, kernel)
+    assert rep.fiedler_gap == np.min(rep.margins[basis.components:])
