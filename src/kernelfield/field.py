@@ -25,6 +25,9 @@ _EXP_GUARD = 700.0  # exp argument beyond this over/underflows binary64
 # The largest sigma2 a SourceSpec accepts, so that (sigma2 + h)^2 in the
 # source Jacobian stays far below binary64's top (1.8e308).
 MAX_SIGMA2 = 1e100
+# The largest mu2 a SourceSpec accepts, so that mu2 * w_l in the source stays
+# finite for every weight a bounded graph gives (w_l <= lambda_max).
+MAX_MU2 = 1e100
 
 
 class WeightRule(enum.Enum):
@@ -40,9 +43,10 @@ class SourceSpec:
 
     T_l[h] = mu2 * w_l / (2 * (sigma2 + h_l)) + eta * (C h)_l
 
-    sigma2 lies in (0, MAX_SIGMA2]. The coupling matrix C must be
-    nonnegative with zero diagonal and rows summing to 1 (or to 0 for empty
-    rows); eta is zero exactly when no coupling matrix is supplied.
+    sigma2 lies in (0, MAX_SIGMA2] and mu2 in [0, MAX_MU2]. The coupling
+    matrix C must be nonnegative with zero diagonal and rows summing to 1
+    (or to 0 for empty rows); eta is zero exactly when no coupling matrix is
+    supplied.
     """
 
     sigma2: float = 1.0
@@ -57,8 +61,10 @@ class SourceSpec:
                               f"{self.sigma2}, {self.mu2}, {self.eta}")
         if not 0 < self.sigma2 <= MAX_SIGMA2:
             raise DomainError(f"sigma2 must be in (0, {MAX_SIGMA2:g}], got {self.sigma2}")
-        if self.mu2 < 0 or self.eta < 0:
-            raise DomainError("mu2 and eta must be nonnegative")
+        if not 0 <= self.mu2 <= MAX_MU2:
+            raise DomainError(f"mu2 must be in [0, {MAX_MU2:g}], got {self.mu2}")
+        if self.eta < 0:
+            raise DomainError("eta must be nonnegative")
         if (self.eta == 0) != (self.coupling is None):
             raise DomainError("eta must be zero iff no coupling matrix is given")
         if self.coupling is not None:
@@ -156,9 +162,9 @@ def solve_fixed_point(
 ) -> FixedPointReport:
     """Iterate h <- h0 * exp(-1 - T[h]) from h0 until the step norm drops below tol.
 
-    The contraction ratio is empirical: the median of successive step-norm
-    ratios over the last few steps. Non-convergence is reported, not raised;
-    exp overflow is raised.
+    The contraction ratio is empirical: the median of the last (up to) five
+    successive step-norm ratios step_k / step_(k-1), or 0.0 when there are
+    none. Non-convergence is reported, not raised; exp overflow is raised.
 
     Raises:
         DomainError: h0 not strictly positive, tol not finite and positive,
@@ -186,8 +192,16 @@ def solve_fixed_point(
         if step < tol:
             converged = True
             break
-    ratios = [b / a for a, b in zip(steps[-6:-1], steps[-5:]) if a > 0]
-    ratio = float(np.median(ratios)) if ratios else 0.0
+    last = steps[-6:]
+    ratios = sorted(b / a for a, b in zip(last, last[1:]) if a > 0)
+    mid = len(ratios) // 2
+    # The median in plain Python: np.median imports numpy.ma on first use.
+    if not ratios:
+        ratio = 0.0
+    elif len(ratios) % 2:
+        ratio = ratios[mid]
+    else:
+        ratio = (ratios[mid - 1] + ratios[mid]) / 2.0
     kernel = SpectralKernel(h, h0)
     return FixedPointReport(
         h_star=kernel,

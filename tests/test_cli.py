@@ -177,13 +177,18 @@ def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, messa
     assert not out.exists() or not any(out.iterdir())
 
 
+def _python(*args, cwd=None):
+    """Run a fresh interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(kernelfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=120)
+
+
 def test_degree_overflow_is_one_error_line(tmp_path):
     graph_file = tmp_path / "g.json"
     graph_file.write_text('{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}')
-    src = os.path.dirname(os.path.dirname(kernelfield.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "kernelfield.cli", "graph", str(graph_file)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _python("-m", "kernelfield.cli", "graph", str(graph_file))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: edge (0, 1) weight must be in (0, 1e+100], got 1e+308"]
@@ -235,6 +240,44 @@ def test_source_parameters_stay_inside_binary64(tmp_path, capsys, argv, code, me
     assert main(["solve", "--graph", "path:3", *argv, "--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines()[0].startswith(message)
     assert not out.exists() or not any(out.iterdir())
+
+
+# mu2 is bounded like sigma2, so mu2 * w_l cannot overflow in the source:
+# under -W error an overflow warning would be a traceback.
+@pytest.mark.parametrize("argv, code, message", [
+    (["--mu2", "1.7e308", "--weights", "eigenvalue"], 1, "error: mu2 must be in [0, 1e+100], got 1.7e+308"),
+    (["--eta", "1.7e308", "--mu2", "1e308"], 1, "error: mu2 must be in [0, 1e+100], got 1e+308"),
+    (["--mu2", "1e100", "--weights", "eigenvalue"], 2,
+     "numerical failure: exp argument out of range in fixed-point map"),
+], ids=["mu2-above-bound", "mu2-above-bound-coupled", "mu2-at-bound"])
+def test_mu2_bound_exits_cleanly_under_warnings_as_errors(tmp_path, argv, code, message):
+    out = tmp_path / "out"
+    proc = _python("-W", "error", "-m", "kernelfield.cli", "solve", "--graph", "trunk:2,1,1",
+                   *argv, "--out", str(out))
+    assert (proc.returncode, proc.stderr.splitlines()) == (code, [message])
+    assert not out.exists() or not any(out.iterdir())
+
+
+_LAZY_IMPORTS = """
+import sys
+import kernelfield.cli
+start = set(sys.modules)
+for argv in ([], ["--eta", "0.05"]):
+    assert kernelfield.cli.main(["solve", *argv, "--out", "solve"]) == 0
+assert kernelfield.cli.main(["sweep", "--graph", "trunk", "--coupled", "--out", "sweep"]) == 0
+assert kernelfield.cli.main(["reproduce", "exp2", "--out", "exp2"]) == 0
+assert kernelfield.cli.main(["graph", "path:8", "--out", "graph"]) == 0
+sys.stderr.write(" ".join(sorted(set(sys.modules) - start)))
+"""
+
+
+def test_cli_commands_import_no_module_after_start_up(tmp_path):
+    """A CLI process pays its imports once: no command pulls in a numpy
+    submodule (np.median, say, imports numpy.ma on first call). argparse's
+    gettext imports locale on its first message."""
+    proc = _python("-c", _LAZY_IMPORTS, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.split()) - {"locale", "_locale"} == set()
 
 
 def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):

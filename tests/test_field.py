@@ -1,3 +1,5 @@
+import statistics
+
 import mpmath
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from kernelfield import (
 )
 from kernelfield.diagnostics import fisher_rao_diag
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
-from kernelfield.field import MAX_SIGMA2
+from kernelfield.field import MAX_MU2, MAX_SIGMA2
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -81,6 +83,11 @@ def test_spec_validation():
     with pytest.raises(DomainError, match=r"sigma2 must be in \(0, 1e\+100\]"):
         SourceSpec(sigma2=float(np.nextafter(MAX_SIGMA2, np.inf)))
     assert SourceSpec(sigma2=MAX_SIGMA2).sigma2 == 1e100
+    with pytest.raises(DomainError, match=r"mu2 must be in \[0, 1e\+100\]"):
+        SourceSpec(mu2=float(np.nextafter(MAX_MU2, np.inf)))
+    with pytest.raises(DomainError, match=r"mu2 must be in \[0, 1e\+100\]"):
+        SourceSpec(mu2=-1.0)
+    assert SourceSpec(mu2=MAX_MU2).mu2 == 1e100
     with pytest.raises(DomainError):
         SourceSpec(eta=0.1)  # eta without coupling
     c = np.eye(2)  # nonzero diagonal
@@ -166,6 +173,8 @@ def test_fixed_point_zero_source_is_vacuum(p8):
     report = solve_fixed_point(spec, basis, np.ones(8))
     assert report.converged
     assert np.array_equal(report.h_star.h, vacuum_solution(np.ones(8)).h)
+    # the map is constant, so its one step ratio (0 / first step) is 0
+    assert report.contraction_ratio == 0.0
 
 
 def test_fixed_point_eigenvalue_aware_per_mode_roots(p8):
@@ -177,6 +186,32 @@ def test_fixed_point_eigenvalue_aware_per_mode_roots(p8):
     assert np.max(np.abs(report.h_star.h - roots)) <= 1e-10
     assert abs(report.h_star.h[1] - 0.3281) <= 1e-4
     assert abs(report.h_star.h[0] - np.exp(-1)) <= 1e-12  # zero mode is vacuum
+
+
+# max_iter 1 to 6 give 0 to 5 step ratios, so both median branches run;
+# 200 is exp2's converged solve (14 steps).
+@pytest.mark.parametrize("max_iter, ratio", [
+    (1, 0.0),
+    (2, 0.07814814243820317),
+    (3, 0.09498963515656186),
+    (4, 0.11183112787492057),
+    (5, 0.11369646931083535),
+    (6, 0.11556181074675012),
+    (200, 0.11604833409421657),
+])
+def test_contraction_ratio_is_the_median_of_the_last_five_step_ratios(p8, max_iter, ratio):
+    basis, spec = p8
+    report = solve_fixed_point(spec, basis, np.ones(8), max_iter=max_iter)
+    assert report.contraction_ratio == ratio
+    h, steps = np.ones(8), []
+    for _ in range(report.iterations):
+        h_next = np.exp(-1.0 - source_T(spec, basis, h))
+        steps.append(float(np.max(np.abs(h_next - h))))
+        h = h_next
+    last = steps[-6:]
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    assert len(ratios) == min(max_iter - 1, 5)
+    assert report.contraction_ratio == (statistics.median(ratios) if ratios else 0.0)
 
 
 def test_fixed_point_nonconvergence_reported(p8):
