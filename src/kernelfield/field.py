@@ -80,7 +80,12 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Outcome of the fixed-point iteration."""
+    """Outcome of the fixed-point iteration.
+
+    residual_inf is max|R - T| at h_star, and converged is residual_inf < tol.
+    iterations counts evaluations of T. contraction_ratio is the median of the
+    last (up to) five residual ratios r_k / r_(k-1), or 0.0 if there are none.
+    """
 
     h_star: SpectralKernel
     iterations: int
@@ -160,11 +165,11 @@ def solve_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> FixedPointReport:
-    """Iterate h <- h0 * exp(-1 - T[h]) from h0 until the step norm drops below tol.
+    """Iterate u = ln(h / h0) <- -1 - T[h] from h0 until max|R - T| < tol.
 
-    The contraction ratio is empirical: the median of the last (up to) five
-    successive step-norm ratios step_k / step_(k-1), or 0.0 when there are
-    none. Non-convergence is reported, not raised; exp overflow is raised.
+    The step max|u_next - u| is the residual max|R - T| at h, so tol bounds
+    it at the returned h_star (see FixedPointReport). Non-convergence is
+    reported, not raised; exp overflow is raised.
 
     Raises:
         DomainError: h0 not strictly positive, tol not finite and positive,
@@ -177,22 +182,18 @@ def solve_fixed_point(
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    h = h0.copy()
-    steps: list[float] = []
-    converged = False
-    iterations = 0
+    h, u = h0.copy(), np.zeros_like(h0)
+    residuals: list[float] = []
     for iterations in range(1, max_iter + 1):
-        arg = -1.0 - source_T(spec, basis, h)
-        if np.any(np.abs(arg) > _EXP_GUARD):
+        u_next = -1.0 - source_T(spec, basis, h)
+        if np.any(np.abs(u_next) > _EXP_GUARD):
             raise NumericalError("exp argument out of range in fixed-point map")
-        h_next = h0 * np.exp(arg)
-        step = float(np.max(np.abs(h_next - h)))
-        steps.append(step)
-        h = h_next
-        if step < tol:
-            converged = True
+        # u = ln(h / h0), so the step u_next - u is R - T at h.
+        residuals.append(float(np.max(np.abs(u_next - u))))
+        if residuals[-1] < tol or iterations == max_iter:
             break
-    last = steps[-6:]
+        u, h = u_next, h0 * np.exp(u_next)
+    last = residuals[-6:]
     ratios = sorted(b / a for a, b in zip(last, last[1:]) if a > 0)
     mid = len(ratios) // 2
     # The median in plain Python: np.median imports numpy.ma on first use.
@@ -202,13 +203,12 @@ def solve_fixed_point(
         ratio = ratios[mid]
     else:
         ratio = (ratios[mid - 1] + ratios[mid]) / 2.0
-    kernel = SpectralKernel(h, h0)
     return FixedPointReport(
-        h_star=kernel,
-        iterations=iterations,
-        residual_inf=residual_inf(spec, basis, kernel),
+        h_star=SpectralKernel(h, h0),
+        iterations=len(residuals),
+        residual_inf=residuals[-1],
         contraction_ratio=ratio,
-        converged=converged,
+        converged=residuals[-1] < tol,
     )
 
 

@@ -44,6 +44,32 @@ def test_solve_writes_reports(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
+def test_solve_stops_on_the_field_residual(tmp_path, capsys):
+    # Here a step in h falls below tol while max|R - T| is still 2.2e-10.
+    code = main(["solve", "--graph", "path:8", "--sigma2", "0.111", "--mu2", "6.86",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "fixed_point.json") as fh:
+        report = json.load(fh)
+    assert report["converged"] is True
+    assert report["residual_inf"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "path:8"],
+    ["graph", "path:8"],
+    ["sweep", "--graph", "path", "--eps-values", "1"],
+    ["reproduce", "exp1"],
+], ids=lambda argv: argv[0])
+def test_out_below_a_regular_file_is_one_error_line(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["file"]
+
+
 def test_solve_vacuum(tmp_path):
     assert main(["solve", "--graph", "path:8", "--mu2", "0", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "fixed_point.json") as fh:

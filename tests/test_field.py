@@ -1,8 +1,11 @@
+import math
 import statistics
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelfield import (
     DomainError,
@@ -188,30 +191,38 @@ def test_fixed_point_eigenvalue_aware_per_mode_roots(p8):
     assert abs(report.h_star.h[0] - np.exp(-1)) <= 1e-12  # zero mode is vacuum
 
 
-# max_iter 1 to 6 give 0 to 5 step ratios, so both median branches run;
-# 200 is exp2's converged solve (14 steps).
+# max_iter 1 to 6 give 0 to 5 residual ratios, so both median branches run;
+# 200 is exp2's converged solve (15 evaluations of T).
 @pytest.mark.parametrize("max_iter, ratio", [
     (1, 0.0),
-    (2, 0.07814814243820317),
-    (3, 0.09498963515656186),
-    (4, 0.11183112787492057),
-    (5, 0.11369646931083535),
-    (6, 0.11556181074675012),
-    (200, 0.11604833409421657),
+    (2, 0.2117163174624291),
+    (3, 0.17308703858869134),
+    (4, 0.13445775971495355),
+    (5, 0.12641047031276012),
+    (6, 0.11836318091056668),
+    (200, 0.11604848764041296),
 ])
-def test_contraction_ratio_is_the_median_of_the_last_five_step_ratios(p8, max_iter, ratio):
+def test_contraction_ratio_is_the_median_of_the_last_five_residual_ratios(p8, max_iter, ratio):
     basis, spec = p8
     report = solve_fixed_point(spec, basis, np.ones(8), max_iter=max_iter)
     assert report.contraction_ratio == ratio
-    h, steps = np.ones(8), []
+    # The residual history: in u = ln h (h0 = 1) the step is max|R - T|.
+    u, residuals = np.zeros(8), []
     for _ in range(report.iterations):
-        h_next = np.exp(-1.0 - source_T(spec, basis, h))
-        steps.append(float(np.max(np.abs(h_next - h))))
-        h = h_next
-    last = steps[-6:]
+        u_next = -1.0 - source_T(spec, basis, np.exp(u))
+        residuals.append(float(np.max(np.abs(u_next - u))))
+        u = u_next
+    assert residuals[-1] == report.residual_inf
+    last = residuals[-6:]
     ratios = [b / a for a, b in zip(last, last[1:])]
     assert len(ratios) == min(max_iter - 1, 5)
     assert report.contraction_ratio == (statistics.median(ratios) if ratios else 0.0)
+
+
+def _assert_reports_its_own_residual(spec, basis, report, tol):
+    """converged is derived from residual_inf, measured at the returned h*."""
+    assert report.converged == (report.residual_inf < tol)
+    assert abs(residual_inf(spec, basis, report.h_star) - report.residual_inf) <= 1e-13
 
 
 def test_fixed_point_nonconvergence_reported(p8):
@@ -219,6 +230,21 @@ def test_fixed_point_nonconvergence_reported(p8):
     report = solve_fixed_point(spec, basis, np.ones(8), tol=1e-12, max_iter=3)
     assert not report.converged
     assert report.iterations == 3
+    _assert_reports_its_own_residual(spec, basis, report, 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16]),
+       sigma2=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+       mu2=st.floats(0.0, 8.0),
+       rule=st.sampled_from(list(WeightRule)),
+       max_iter=st.sampled_from([3, 200]))
+def test_converged_means_the_reported_residual_is_below_tol(n, sigma2, mu2, rule, max_iter):
+    basis = eig_symmetric(laplacian(build_path(n)))
+    spec = SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule)
+    report = solve_fixed_point(spec, basis, np.ones(n), max_iter=max_iter)
+    assert report.iterations <= max_iter
+    _assert_reports_its_own_residual(spec, basis, report, 1e-12)
 
 
 def test_fixed_point_overflow_guard(p8):
