@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: solve (single fixed-point run), reproduce (experiment
+Subcommands: solve (experiments.solve_graph on one graph, then the
+diagnostics; --out is created only once both succeed), reproduce (experiment
 runners), sweep (experiments.run_sweep on a builtin target), graph (dump
 Laplacian and spectrum). Exit codes are the machine contract: 0 success,
 1 input error (usage errors included), 2 numerical non-convergence. All
@@ -21,13 +22,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import experiments, field, graph as graphmod, stability
+from . import experiments, graph as graphmod
 from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
 from .experiments import EPS_GRID, RUNNERS, _write_atomic
-from .field import SourceSpec, WeightRule
+from .field import WeightRule
 from .graph import _is_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
 
@@ -102,29 +101,17 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
-def _make_spec(args, config, basis, g) -> SourceSpec:
-    eta = float(_setting(args, config, "eta", 0.0))
-    sigma2 = float(_setting(args, config, "sigma2", 1.0))
-    mu2 = float(_setting(args, config, "mu2", 2.0))
-    weights = _setting(args, config, "weights", "uniform")
-    rule = WeightRule(weights)
-    coupling = field.build_coupling(basis, g) if eta > 0 else None
-    return SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule, eta=eta, coupling=coupling)
-
-
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     g = parse_graph_spec(_setting(args, config, "graph", "path:8"))
-    basis = eig_symmetric(graphmod.laplacian(g))
-    spec = _make_spec(args, config, basis, g)
-    tol = float(_setting(args, config, "tol", 1e-12))
-    max_iter = _setting(args, config, "max_iter", 200)
+    number = lambda key, default: float(_setting(args, config, key, default))
+    params = dict(eta=number("eta", 0.0), sigma2=number("sigma2", 1.0), mu2=number("mu2", 2.0),
+                  weight_rule=WeightRule(_setting(args, config, "weights", "uniform")),
+                  tol=number("tol", 1e-12), max_iter=_setting(args, config, "max_iter", 200))
     out = _setting(args, config, "out", ".")
-    os.makedirs(out, exist_ok=True)
-
-    report = field.solve_fixed_point(spec, basis, np.ones(basis.n), tol=tol, max_iter=max_iter)
-    srep = stability.stability_report(spec, basis, report.h_star)
+    basis, _, report, srep = experiments.solve_graph(g, **params)
     drec = diagnostics_record(report.h_star.h, report.h_star.h0)
+    os.makedirs(out, exist_ok=True)
     _write_atomic(os.path.join(out, "fixed_point.json"), report.to_json())
     _write_atomic(os.path.join(out, "stability.json"), srep.to_json())
     _write_atomic(os.path.join(out, "diagnostics.json"), drec.to_json())

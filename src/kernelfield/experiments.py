@@ -1,9 +1,12 @@
-"""Deterministic reproduction runners for the numbered experiments and the
-edge-weakening sweep driver.
+"""The one pipeline, the edge-weakening sweep driver and deterministic
+reproduction runners for the numbered experiments.
 
-run_sweep is the one sweep driver: the CLI `sweep` command, exp6, exp6b and
-exp7 all call it. Every runner is pure computation plus optional artifact
-files; there is no randomness anywhere, so repeated runs are byte-identical.
+solve_graph is the one pipeline (Laplacian basis, source, fixed point from
+h0 = 1, stability report): the CLI `solve` command, every sweep row, exp2
+and exp4 run it. run_sweep is the one sweep driver: the CLI `sweep` command,
+exp6, exp6b and exp7 all call it. Every runner is pure computation plus
+optional artifact files; there is no randomness anywhere, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -85,9 +88,20 @@ def _result(exp_id: str, passed: bool, metrics: dict, out_dir: str | None,
     return result
 
 
-def _p8_setup():
-    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
-    return basis, SourceSpec(sigma2=1.0, mu2=2.0)
+def solve_graph(g: graph.Graph, sigma2: float = 1.0, mu2: float = 2.0,
+                weight_rule: WeightRule = WeightRule.UNIFORM, eta: float = 0.0,
+                tol: float = 1e-12, max_iter: int = 200):
+    """The paper's chain on one graph: basis, source, fixed point, stability.
+
+    The source's coupling matrix is built from g exactly when eta > 0, and
+    the fixed point is iterated from h0 = 1. Returns the tuple (basis, spec,
+    fixed-point report, stability report at h*).
+    """
+    basis = eig_symmetric(graph.laplacian(g))
+    coupling = field.build_coupling(basis, g) if eta > 0 else None
+    spec = SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=weight_rule, eta=eta, coupling=coupling)
+    report = field.solve_fixed_point(spec, basis, np.ones(basis.n), tol=tol, max_iter=max_iter)
+    return basis, spec, report, stability.stability_report(spec, basis, report.h_star)
 
 
 def run_exp1(out_dir: str | None = None) -> ExperimentResult:
@@ -112,8 +126,7 @@ def run_exp1(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp2(out_dir: str | None = None) -> ExperimentResult:
     """Fixed-point convergence with the uniform-weight source."""
-    basis, spec = _p8_setup()
-    report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
+    basis, _, report, _ = solve_graph(graph.build_path(8))
     h = report.h_star.h
     passed = (
         report.converged
@@ -131,7 +144,7 @@ def run_exp2(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp3(out_dir: str | None = None) -> ExperimentResult:
     """Vacuum solution ratio and geodesic log-linearity."""
-    basis, _ = _p8_setup()
+    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
     h0 = np.ones(basis.n)
     vac = field.vacuum_solution(h0)
     vac_err = float(np.max(np.abs(vac.h / h0 - np.exp(-1.0))))
@@ -154,9 +167,7 @@ def run_exp3(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp4(out_dir: str | None = None) -> ExperimentResult:
     """Hessian structure and stability margins at the uniform-source fixed point."""
-    basis, spec = _p8_setup()
-    report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
-    srep = stability.stability_report(spec, basis, report.h_star)
+    basis, _, _, srep = solve_graph(graph.build_path(8))
     off = srep.hessian - np.diag(np.diag(srep.hessian))
     off_max = float(np.max(np.abs(off)))
     eig_err = float(np.max(np.abs(srep.eigenvalues - (-5.714))))
@@ -181,8 +192,8 @@ def run_exp4(out_dir: str | None = None) -> ExperimentResult:
 
 def run_exp5(out_dir: str | None = None) -> ExperimentResult:
     """Heat-kernel field-equation residuals over increasing diffusion time."""
-    basis, spec = _p8_setup()
-    residuals = [field.residual_inf(spec, basis, heat_kernel_weights(basis, tau))
+    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
+    residuals = [field.residual_inf(SourceSpec(), basis, heat_kernel_weights(basis, tau))
                  for tau in HEAT_TAUS]
     monotone = all(b > a for a, b in zip(residuals, residuals[1:]))
     passed = (monotone
@@ -212,19 +223,16 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
                 coupled: bool = False, eta: float = 0.05) -> list[SweepRecord]:
     """Weaken edge (u, v) over eps_values and re-solve the field equation each time.
 
-    The source has sigma2=1, mu2=2 and eigenvalue mode weights. The coupling
-    matrix, when requested, is rebuilt per eps from the perturbed adjacency.
-    Rows that fail to converge are recorded with converged=False, not raised.
+    Each row runs solve_graph with eigenvalue mode weights and, when coupled,
+    eta, so the coupling matrix is rebuilt per eps from the perturbed
+    adjacency (and a coupled row with eta = 0 is a plain one). Rows that fail
+    to converge are recorded with converged=False, not raised.
     """
     records = []
     for eps in eps_values:
-        g = graph.weaken_edge(base, u, v, eps)
-        basis = eig_symmetric(graph.laplacian(g))
-        coupling = field.build_coupling(basis, g) if coupled else None
-        spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE,
-                          eta=eta if coupled else 0.0, coupling=coupling)
-        report = field.solve_fixed_point(spec, basis, np.ones(basis.n))
-        srep = stability.stability_report(spec, basis, report.h_star)
+        basis, _, report, srep = solve_graph(graph.weaken_edge(base, u, v, eps),
+                                             weight_rule=WeightRule.EIGENVALUE,
+                                             eta=eta if coupled else 0.0)
         records.append(SweepRecord(
             eps=float(eps),
             lambda1=float(basis.lambdas[1]),

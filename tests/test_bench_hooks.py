@@ -6,7 +6,8 @@ import inspect
 import pathlib
 import typing
 
-from kernelfield import experiments, spectral
+import kernelfield
+from kernelfield import experiments, graph, spectral
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -40,3 +41,13 @@ def test_runners_hold_the_eight_experiments():
                                          "exp6", "exp6b", "exp7"]
     for name, runner in experiments.RUNNERS.items():
         assert runner is getattr(experiments, f"run_{name}")
+
+
+def test_the_benchmark_workloads_entry_points_still_bind():
+    """sweep-large calls sweep_graph in this shape, and param-scan uses these
+    package-level names; a break here would fail every op of those workloads."""
+    base = graph.build_path(8)
+    inspect.signature(experiments.sweep_graph).bind(base, 3, 4, [0.5], coupled=True, eta=0.05)
+    for name in ("eig_symmetric", "laplacian", "build_path", "SourceSpec", "WeightRule",
+                 "solve_fixed_point", "stability_report", "diagnostics_record"):
+        assert callable(getattr(kernelfield, name, None)), f"kernelfield.{name}"

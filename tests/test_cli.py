@@ -1,5 +1,5 @@
 import contextlib
-import functools
+import inspect
 import io
 import json
 import os
@@ -83,6 +83,30 @@ def test_solve_nonconvergence_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, calls, coupled", [
+    (["solve", "--graph", "path:8"], 1, False),
+    (["sweep"], 5, False),
+    (["sweep", "--coupled"], 5, True),
+    (["reproduce", "exp2"], 1, False),
+    (["reproduce", "exp4"], 1, False),
+], ids=["solve", "sweep", "sweep-coupled", "exp2", "exp4"])
+def test_every_chain_runs_through_solve_graph(tmp_path, monkeypatch, argv, calls, coupled):
+    """The basis, source, fixed point and stability chain is written once."""
+    solve_graph = experiments.solve_graph
+    etas = []
+
+    def counting_solve_graph(*args, **kwargs):
+        bound = inspect.signature(solve_graph).bind(*args, **kwargs)
+        bound.apply_defaults()
+        etas.append(bound.arguments["eta"])
+        return solve_graph(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_graph", counting_solve_graph)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(etas) == calls
+    assert all(eta > 0 for eta in etas) if coupled else all(eta == 0 for eta in etas)
+
+
 @pytest.mark.parametrize("flag, value", [("--mu2", "nan"), ("--sigma2", "inf"), ("--eta", "nan")])
 def test_solve_nonfinite_parameter_exit_1(tmp_path, capsys, flag, value):
     assert main(["solve", "--graph", "path:8", flag, value, "--out", str(tmp_path)]) == 1
@@ -153,7 +177,9 @@ def test_graph_dump(tmp_path, capsys):
 
 def test_sweep_nonconvergence_exit_2(tmp_path, capsys, monkeypatch):
     solve = experiments.field.solve_fixed_point
-    monkeypatch.setattr(experiments.field, "solve_fixed_point", functools.partial(solve, max_iter=2))
+    # The pipeline passes max_iter itself, so the wrapper overrides it.
+    monkeypatch.setattr(experiments.field, "solve_fixed_point",
+                        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 2}))
     assert main(["sweep", "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5 and all(line.endswith("[not converged]") for line in lines)
@@ -166,14 +192,17 @@ def test_sweep_rejects_non_builtin_graph_before_reading_it(tmp_path, capsys):
     assert "builtin graph" in capsys.readouterr().err
 
 
-# Non-finite or out-of-range input is an input error, not a non-convergence.
+# Non-finite or out-of-range input is an input error, not a non-convergence,
+# and `solve` creates --out only after its pipeline returns.
 @pytest.mark.parametrize("argv", [
     ["sweep", "--eps-values", "inf"],
     ["solve", "--graph", "path:8:weaken=2,3,inf"],
     ["solve", "--graph", "{graph_file}"],
     ["solve", "--graph", "path:8", "--tol", "inf"],
     ["solve", "--graph", "path:8", "--max-iter", "0"],
-], ids=["sweep-eps-inf", "weaken-inf", "json-weight-infinity", "tol-inf", "max-iter-0"])
+    ["solve", "--graph", "path:8", "--sigma2", "-1"],
+], ids=["sweep-eps-inf", "weaken-inf", "json-weight-infinity", "tol-inf", "max-iter-0",
+        "sigma2-negative"])
 def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     graph_file = tmp_path / "g.json"
     graph_file.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, Infinity]]}')
@@ -181,7 +210,7 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     argv = [str(graph_file) if a == "{graph_file}" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # A graph file of the wrong JSON types, with a weight above the bound (one
@@ -200,7 +229,7 @@ def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, messa
     assert main(argv + [str(graph_file), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _python(*args, cwd=None):
@@ -265,7 +294,7 @@ def test_source_parameters_stay_inside_binary64(tmp_path, capsys, argv, code, me
     out = tmp_path / "out"
     assert main(["solve", "--graph", "path:3", *argv, "--out", str(out)]) == code
     assert capsys.readouterr().err.splitlines()[0].startswith(message)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # mu2 is bounded like sigma2, so mu2 * w_l cannot overflow in the source:
@@ -281,7 +310,7 @@ def test_mu2_bound_exits_cleanly_under_warnings_as_errors(tmp_path, argv, code, 
     proc = _python("-W", "error", "-m", "kernelfield.cli", "solve", "--graph", "trunk:2,1,1",
                    *argv, "--out", str(out))
     assert (proc.returncode, proc.stderr.splitlines()) == (code, [message])
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 _LAZY_IMPORTS = """

@@ -29,7 +29,7 @@ from kernelfield import (
     weaken_edge,
 )
 from kernelfield.diagnostics import fisher_rao_diag
-from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
 from kernelfield.field import MAX_MU2, MAX_SIGMA2
 
 
@@ -357,10 +357,10 @@ def test_decoupled_fixed_point_is_stationary(target, eps, rule):
     """Corollary "selfconsistent": with no coupling, h*_l is a stationary point of
     phi_l(x) = -x ln(x / h0_l) - (mu2 w_l / 2) ln(sigma2 + x), mode by mode."""
     make, (u, v) = SWEEP_TARGETS[target]
-    basis = eig_symmetric(laplacian(weaken_edge(make(), u, v, eps)))
     sigma2, mu2 = 1.0, 2.0
-    h0 = np.ones(basis.n)
-    h = solve_fixed_point(SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule), basis, h0).h_star.h
+    basis, _, report, _ = solve_graph(weaken_edge(make(), u, v, eps), sigma2=sigma2, mu2=mu2,
+                                      weight_rule=rule)
+    h0, h = report.h_star.h0, report.h_star.h
     w = basis.lambdas if rule is WeightRule.EIGENVALUE else np.ones(basis.n)
     for l in range(basis.n):
         phi = lambda x: -x * np.log(x / h0[l]) - mu2 * w[l] / 2 * np.log(sigma2 + x)
@@ -383,10 +383,9 @@ def test_decoupled_fixed_point_matches_mpmath(target, eps, rule, mp_findroot, mp
     else:
         make, (u, v) = SWEEP_TARGETS[target]
         g = weaken_edge(make(), u, v, eps)
-    basis = eig_symmetric(laplacian(g))
     sigma2, mu2 = 1.0, 2.0
-    h = solve_fixed_point(SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule), basis,
-                          np.ones(basis.n)).h_star.h
+    basis, _, report, _ = solve_graph(g, sigma2=sigma2, mu2=mu2, weight_rule=rule)
+    h = report.h_star.h
     w = basis.lambdas if rule is WeightRule.EIGENVALUE else np.ones(basis.n)
     for l in range(basis.n):
         a = mu2 * w[l] / 2  # exact in binary64, since mu2 = 2

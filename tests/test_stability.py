@@ -28,7 +28,7 @@ from kernelfield import (
     vacuum_solution,
     weaken_edge,
 )
-from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
 from kernelfield.spectral import _jacobi
 
 
@@ -170,11 +170,8 @@ def test_diagonal_case_margin_iff_stable(h, rule):
 
 
 def _coupled_row(g, u, v, eps):
-    """The state of one coupled sweep row: basis, source and fixed point."""
-    g = weaken_edge(g, u, v, eps)
-    basis = eig_symmetric(laplacian(g))
-    spec = SourceSpec(weight_rule=WeightRule.EIGENVALUE, eta=0.05, coupling=build_coupling(basis, g))
-    return spec, basis, solve_fixed_point(spec, basis, np.ones(basis.n)).h_star
+    """The stability report of one coupled sweep row, from the pipeline it runs."""
+    return solve_graph(weaken_edge(g, u, v, eps), weight_rule=WeightRule.EIGENVALUE, eta=0.05)[3]
 
 
 @pytest.mark.parametrize("target, u, v, eps", [
@@ -183,7 +180,7 @@ def _coupled_row(g, u, v, eps):
 ])
 def test_hessian_eigenvalues_match_the_jacobi_solver(target, u, v, eps):
     g = build_path(64) if target == "path64" else SWEEP_TARGETS[target][0]()
-    rep = stability_report(*_coupled_row(g, u, v, eps))
+    rep = _coupled_row(g, u, v, eps)
     sym = (rep.hessian + rep.hessian.T) / 2.0
     assert np.max(np.abs(sym - np.diag(np.diag(sym)))) > 1e-6  # a dense case
     jacobi = np.sort(_jacobi(sym.copy())[0])
@@ -196,7 +193,7 @@ def test_hessian_eigenvalues_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error
     mpmath.eigsy on the same binary64 matrix. Measured: relative error at most
     3.5e-14 (trunk, eps=0.109)."""
     make, (u, v) = SWEEP_TARGETS[target]
-    rep = stability_report(*_coupled_row(make(), u, v, eps))
+    rep = _coupled_row(make(), u, v, eps)
     ref = mp_eigvalsh((rep.hessian + rep.hessian.T) / 2.0)
     assert max(mp_rel_error(x, r) for x, r in zip(rep.eigenvalues, ref)) <= 3e-13
 
