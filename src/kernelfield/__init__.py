@@ -1,9 +1,9 @@
 """Self-consistent spectral kernels on finite graphs.
 
 Builds weighted graphs and their Laplacians, solves the spectral kernel
-field equation R[h] = T[h] by fixed-point iteration, certifies contraction
-and stability, and computes early-warning diagnostics for approaching
-graph fragmentation.
+field equation R[h] = T[h] by fixed-point iteration, reports the
+iteration's local contraction rate and the stability of the fixed point,
+and computes early-warning diagnostics for approaching graph fragmentation.
 """
 
 from .diagnostics import (
@@ -28,7 +28,6 @@ from .field import (
     SourceSpec,
     WeightRule,
     build_coupling,
-    contraction_certificate,
     geodesic,
     geometric_R,
     residual_inf,

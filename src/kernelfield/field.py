@@ -83,8 +83,10 @@ class FixedPointReport:
     """Outcome of the fixed-point iteration.
 
     residual_inf is max|R - T| at h_star, and converged is residual_inf < tol.
-    iterations counts evaluations of T. contraction_ratio is the median of the
-    last (up to) five residual ratios r_k / r_(k-1), or 0.0 if there are none.
+    iterations counts evaluations of T. contraction_ratio is the iteration's
+    local rate at h_star: the spectral radius of diag(h_star) J, which is
+    similar to J diag(h_star), the Jacobian of the map in u = ln(h / h0) up
+    to sign. It depends on h_star alone, not on the iterates.
     """
 
     h_star: SpectralKernel
@@ -139,10 +141,15 @@ def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
     return t
 
 
+def _mi_slopes(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
+    """dT_l/dh_l of the MI part, the diagonal of J without coupling."""
+    return -spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h) ** 2)
+
+
 def source_jacobian(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
     """J_lm = dT_l/dh_m: diagonal MI part plus eta*C."""
     check_positive(h)
-    jac = np.diag(-spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h) ** 2))
+    jac = np.diag(_mi_slopes(spec, basis, h))
     if spec.coupling is not None:
         jac = jac + spec.eta * spec.coupling
     return jac
@@ -183,45 +190,27 @@ def solve_fixed_point(
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     h, u = h0.copy(), np.zeros_like(h0)
-    residuals: list[float] = []
     for iterations in range(1, max_iter + 1):
         u_next = -1.0 - source_T(spec, basis, h)
         if np.any(np.abs(u_next) > _EXP_GUARD):
             raise NumericalError("exp argument out of range in fixed-point map")
         # u = ln(h / h0), so the step u_next - u is R - T at h.
-        residuals.append(float(np.max(np.abs(u_next - u))))
-        if residuals[-1] < tol or iterations == max_iter:
+        residual = float(np.max(np.abs(u_next - u)))
+        if residual < tol or iterations == max_iter:
             break
         u, h = u_next, h0 * np.exp(u_next)
-    last = residuals[-6:]
-    ratios = sorted(b / a for a, b in zip(last, last[1:]) if a > 0)
-    mid = len(ratios) // 2
-    # The median in plain Python: np.median imports numpy.ma on first use.
-    if not ratios:
-        ratio = 0.0
-    elif len(ratios) % 2:
-        ratio = ratios[mid]
+    # diag(h) J is similar to the map's Jacobian in u, and diagonal when uncoupled.
+    if spec.coupling is None:
+        eigs = h * _mi_slopes(spec, basis, h)
     else:
-        ratio = (ratios[mid - 1] + ratios[mid]) / 2.0
+        eigs = np.linalg.eigvals(h[:, None] * source_jacobian(spec, basis, h))
     return FixedPointReport(
         h_star=SpectralKernel(h, h0),
-        iterations=len(residuals),
-        residual_inf=residuals[-1],
-        contraction_ratio=ratio,
-        converged=residuals[-1] < tol,
+        iterations=iterations,
+        residual_inf=residual,
+        contraction_ratio=float(np.max(np.abs(eigs))),
+        converged=residual < tol,
     )
-
-
-def contraction_certificate(spec: SourceSpec, basis: EigenBasis, h: np.ndarray, h0: np.ndarray) -> float:
-    """Pointwise contraction test max_l F_l(h) * sum_m |J_lm(h)|.
-
-    F_l(h) = h0_l * exp(-1 - T_l(h)). A value below 1 certifies local
-    contraction of the fixed-point map at h; above 1 no uniqueness claim
-    is made.
-    """
-    f = h0 * np.exp(-1.0 - source_T(spec, basis, h))
-    jac_rows = np.abs(source_jacobian(spec, basis, h)).sum(axis=1)
-    return float(np.max(f * jac_rows))
 
 
 def vacuum_solution(h0: np.ndarray) -> SpectralKernel:

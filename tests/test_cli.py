@@ -83,6 +83,21 @@ def test_solve_nonconvergence_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, lo, hi", [
+    # h* collapses to 2.3e-16 while the residual first grows to 17.8, so
+    # the ratio of the last residuals read 1.38 although the rate is 1.6e-12.
+    (["--sigma2", "0.005", "--mu2", "0.35"], 0, 0.0, 1e-11),
+    # Picard's slow contraction: a rate of 0.972 leaves it short of tol.
+    (["--eta", "20"], 2, 0.9, 0.99),
+    # A constant map: no source, so the rate is exactly 0.
+    (["--mu2", "0"], 0, 0.0, 0.0),
+], ids=["collapsed-h", "slow-contraction", "no-source"])
+def test_solve_prints_the_rate_at_h_star(tmp_path, capsys, argv, code, lo, hi):
+    assert main(["solve", "--graph", "path:8", *argv, "--out", str(tmp_path)]) == code
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert lo <= float(fields["ratio"]) <= hi
+
+
 @pytest.mark.parametrize("argv, calls, coupled", [
     (["solve", "--graph", "path:8"], 1, False),
     (["sweep"], 5, False),
