@@ -1,18 +1,12 @@
 """Command-line interface.
 
 Subcommands: solve (experiments.solve_graph on one graph, then the
-diagnostics; --out is created only once both succeed), reproduce (experiment
-runners), sweep (experiments.run_sweep on a builtin target), graph (dump
-Laplacian and spectrum). Exit codes are the machine contract: 0 success,
-1 input error (usage errors included), 2 numerical non-convergence. All
-artifact files are written atomically (temp file + rename).
-
-Builtin graph mini-grammar:
-    path:N
-    path:N:weaken=u,v,eps
-    river:stem,attach1,len1[,attach2,len2,...]
-    trunk:len,rootfan,branchfan
-Anything else is treated as a path to a graph JSON file.
+diagnostics; --out is created only once both succeed, and a solve that does
+not converge writes fixed_point.json alone), reproduce (experiment runners),
+sweep (experiments.run_sweep on a builtin target), graph (dump Laplacian and
+spectrum). Exit codes are the machine contract: 0 success, 1 input error
+(usage errors included), 2 numerical non-convergence. All artifact files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -29,38 +23,6 @@ from .experiments import EPS_GRID, RUNNERS, _write_atomic
 from .field import WeightRule
 from .graph import _is_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
-
-
-def parse_graph_spec(spec: str) -> graphmod.Graph:
-    """Resolve a builtin graph spec or load a graph JSON file."""
-    head, _, rest = spec.partition(":")
-    try:
-        if head == "path":
-            n_str, _, mod = rest.partition(":")
-            g = graphmod.build_path(int(n_str))
-            if mod:
-                if not mod.startswith("weaken="):
-                    raise ValueError(f"unknown path modifier {mod!r}")
-                u, v, eps = mod[len("weaken="):].split(",")
-                g = graphmod.weaken_edge(g, int(u), int(v), float(eps))
-            return g
-        if head == "river":
-            parts = [x for x in rest.split(",") if x]
-            if len(parts) % 2 != 1:
-                raise ValueError("river spec needs stem,attach1,len1,...")
-            stem = int(parts[0])
-            tribs = [(int(a), int(b)) for a, b in zip(parts[1::2], parts[2::2])]
-            return graphmod.build_river_channel(stem, tribs)
-        if head == "trunk":
-            tl, rf, bf = (int(x) for x in rest.split(","))
-            return graphmod.build_trunk_roots(tl, rf, bf)
-    except (ValueError, KernelFieldError) as exc:
-        raise KernelFieldError(f"bad graph spec {spec!r}: {exc}") from exc
-    try:
-        with open(spec) as fh:
-            return graphmod.from_json(fh.read())
-    except OSError as exc:
-        raise KernelFieldError(f"cannot read graph file {spec!r}: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -103,18 +65,23 @@ def _setting(args, config: dict, key: str, default):
 
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
-    g = parse_graph_spec(_setting(args, config, "graph", "path:8"))
+    g = graphmod.parse_graph_spec(_setting(args, config, "graph", "path:8"))
     number = lambda key, default: float(_setting(args, config, key, default))
     params = dict(eta=number("eta", 0.0), sigma2=number("sigma2", 1.0), mu2=number("mu2", 2.0),
                   weight_rule=WeightRule(_setting(args, config, "weights", "uniform")),
                   tol=number("tol", 1e-12), max_iter=_setting(args, config, "max_iter", 200))
     out = _setting(args, config, "out", ".")
     basis, _, report, srep = experiments.solve_graph(g, **params)
-    drec = diagnostics_record(report.h_star.h, report.h_star.h0)
+    # Stability and diagnostics describe a fixed point, so only a converged
+    # solve writes them; otherwise the last iterate is reported alone.
+    artifacts = {"fixed_point.json": report.to_json()}
+    if report.converged:
+        artifacts["stability.json"] = srep.to_json()
+        artifacts["diagnostics.json"] = diagnostics_record(report.h_star.h,
+                                                           report.h_star.h0).to_json()
     os.makedirs(out, exist_ok=True)
-    _write_atomic(os.path.join(out, "fixed_point.json"), report.to_json())
-    _write_atomic(os.path.join(out, "stability.json"), srep.to_json())
-    _write_atomic(os.path.join(out, "diagnostics.json"), drec.to_json())
+    for name, text in artifacts.items():
+        _write_atomic(os.path.join(out, name), text)
     components = basis.components
     if components > 1:
         print(f"warning: graph has {components} connected components, so its Laplacian's "
@@ -165,7 +132,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    g = parse_graph_spec(args.graph)
+    g = graphmod.parse_graph_spec(args.graph)
     basis = eig_symmetric(graphmod.laplacian(g))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -185,7 +152,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="kernelfield", description=__doc__,
+    parser = _Parser(prog="kernelfield", description=__doc__ + "\n" + graphmod.SPEC_GRAMMAR,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

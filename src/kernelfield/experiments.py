@@ -4,9 +4,9 @@ reproduction runners for the numbered experiments.
 solve_graph is the one pipeline (Laplacian basis, source, fixed point from
 h0 = 1, stability report): the CLI `solve` command, every sweep row, exp2
 and exp4 run it. run_sweep is the one sweep driver: the CLI `sweep` command,
-exp6, exp6b and exp7 all call it. Every runner is pure computation plus
-optional artifact files; there is no randomness anywhere, so repeated runs
-are byte-identical.
+exp6, exp6b and exp7 all call it on a builtin target, a graph spec in
+SWEEP_TARGETS. Every runner is pure computation plus optional artifact
+files; there is no randomness anywhere, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ def solve_graph(g: graph.Graph, sigma2: float = 1.0, mu2: float = 2.0,
                 tol: float = 1e-12, max_iter: int = 200):
     """The paper's chain on one graph: basis, source, fixed point, stability.
 
-    The source's coupling matrix is built from g exactly when eta > 0, and
-    the fixed point is iterated from h0 = 1. Returns the tuple (basis, spec,
-    fixed-point report, stability report at h*).
+    The source's coupling matrix is built from the basis exactly when eta > 0,
+    and the fixed point is iterated from h0 = 1. Returns the tuple (basis,
+    spec, fixed-point report, stability report at h*).
     """
     basis = eig_symmetric(graph.laplacian(g))
-    coupling = field.build_coupling(basis, g) if eta > 0 else None
+    coupling = field.build_coupling(basis) if eta > 0 else None
     spec = SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=weight_rule, eta=eta, coupling=coupling)
     report = field.solve_fixed_point(spec, basis, np.ones(basis.n), tol=tol, max_iter=max_iter)
     return basis, spec, report, stability.stability_report(spec, basis, report.h_star)
@@ -206,13 +206,12 @@ def run_exp5(out_dir: str | None = None) -> ExperimentResult:
                    [[tau, r] for tau, r in zip(HEAT_TAUS, residuals)])
 
 
-# Builtin sweep targets with their stressed edges: the 8-node path at edge
-# (2, 3), the river stem edge just past the first tributary, and the
-# mid-trunk edge.
+# Builtin sweep targets, a graph spec and its stressed edge: the river stem
+# edge just past the first tributary, and the mid-trunk edge.
 SWEEP_TARGETS = {
-    "path": (lambda: graph.build_path(8), (2, 3)),
-    "river": (lambda: graph.build_river_channel(6, [(1, 2), (3, 2)]), (1, 2)),
-    "trunk": (lambda: graph.build_trunk_roots(4, 3, 3), (1, 2)),
+    "path": ("path:8", (2, 3)),
+    "river": ("river:6,1,2,3,2", (1, 2)),
+    "trunk": ("trunk:4,3,3", (1, 2)),
 }
 
 # Exp. 7 synthetic topologies.
@@ -225,7 +224,7 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
 
     Each row runs solve_graph with eigenvalue mode weights and, when coupled,
     eta, so the coupling matrix is rebuilt per eps from the perturbed
-    adjacency (and a coupled row with eta = 0 is a plain one). Rows that fail
+    Laplacian (and a coupled row with eta = 0 is a plain one). Rows that fail
     to converge are recorded with converged=False, not raised.
     """
     records = []
@@ -248,7 +247,7 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
 def run_sweep(target: str = "path", eps_values=EPS_GRID, coupled: bool = False,
               eta: float = 0.05, out_dir: str | None = None,
               prefix: str = "sweep") -> list[SweepRecord]:
-    """Edge-weakening sweep on a builtin target, optionally written to out_dir.
+    """Edge-weakening sweep on a builtin target's graph spec, optionally written to out_dir.
 
     With out_dir set, writes <prefix>[_coupled]_plotdata.csv (the columns and
     their min-max normalizations) and <prefix>[_coupled]_records.json.
@@ -259,8 +258,8 @@ def run_sweep(target: str = "path", eps_values=EPS_GRID, coupled: bool = False,
     if target not in SWEEP_TARGETS:
         raise DomainError(f"sweep needs a builtin graph ({', '.join(SWEEP_TARGETS)}), "
                           f"got {target!r}")
-    builder, (u, v) = SWEEP_TARGETS[target]
-    records = sweep_graph(builder(), u, v, eps_values, coupled=coupled, eta=eta)
+    spec, (u, v) = SWEEP_TARGETS[target]
+    records = sweep_graph(graph.parse_graph_spec(spec), u, v, eps_values, coupled=coupled, eta=eta)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stem = os.path.join(out_dir, prefix + ("_coupled" if coupled else ""))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph as graphmod
 from .errors import DimensionMismatchError, DomainError, NumericalError
 from .spectral import EigenBasis, SpectralKernel, check_positive
 
@@ -112,18 +111,21 @@ def mode_weights(spec: SourceSpec, basis: EigenBasis) -> np.ndarray:
     return np.ones(basis.n)
 
 
-def build_coupling(basis: EigenBasis, g: graphmod.Graph) -> np.ndarray:
-    """Inter-mode coupling matrix from the weighted adjacency.
+def build_coupling(basis: EigenBasis) -> np.ndarray:
+    """Inter-mode coupling matrix from the weighted adjacency A = diag(diag(L)) - L
+    of the Laplacian L the basis keeps, over basis.scale.
 
     C = |Phi^T A Phi| with the diagonal zeroed, then rows normalized to
-    sum 1; rows with off-diagonal mass below 1e-14 stay zero. The absolute
-    value keeps entries nonnegative so they can serve as entropy weights.
+    sum 1; rows with off-diagonal mass below 1e-14 (relative to the heaviest
+    edge, by the scale) stay zero. The absolute value keeps entries
+    nonnegative so they can serve as entropy weights.
 
     Raises:
         NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
+    lap = basis.matrix / basis.scale
     phi = basis.vectors
-    c = np.abs(phi.T @ graphmod.adjacency(g) @ phi)
+    c = np.abs(phi.T @ (np.diag(np.diag(lap)) - lap) @ phi)
     np.fill_diagonal(c, 0.0)
     sums = c.sum(axis=1)
     keep = sums > 1e-14

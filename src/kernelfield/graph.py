@@ -1,4 +1,4 @@
-"""Weighted undirected graphs and their unnormalized Laplacians.
+"""Weighted undirected graphs, their unnormalized Laplacians and the graph spec grammar.
 
 Graphs are immutable edge lists; Laplacians are materialized dense,
 which is fine at the desk scales this package targets (N <= 128).
@@ -20,6 +20,14 @@ Edge = tuple[int, int, float]
 # N * 1e100, so a degree, and a sum of squares over the whole Laplacian, stay
 # far below binary64's top (1.8e308) at any N this package targets.
 MAX_WEIGHT = 1e100
+
+SPEC_GRAMMAR = """Builtin graph mini-grammar:
+    path:N
+    path:N:weaken=u,v,eps
+    river:stem,attach1,len1[,attach2,len2,...]
+    trunk:len,rootfan,branchfan
+Anything else is treated as a path to a graph JSON file.
+"""
 
 
 @dataclass(frozen=True)
@@ -123,18 +131,12 @@ def build_trunk_roots(trunk_len: int, root_fan: int, branch_fan: int) -> Graph:
     return build_river_channel(trunk_len, [(0, 1)] * root_fan + [(trunk_len - 1, 1)] * branch_fan)
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """Dense weighted adjacency matrix."""
+def laplacian(g: Graph) -> np.ndarray:
+    """Unnormalized Laplacian L = D - A, A the dense weighted adjacency."""
     a = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
         a[u, v] = w
         a[v, u] = w
-    return a
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Unnormalized Laplacian L = D - A with weighted degrees."""
-    a = adjacency(g)
     return np.diag(a.sum(axis=1)) - a
 
 
@@ -183,3 +185,36 @@ def from_json(text: str) -> Graph:
             raise InvalidGraphError("malformed graph JSON: an edge must be [u, v, w] with "
                                     f"integer nodes and a numeric weight, got {e!r}")
     return Graph(n, tuple((u, v, float(w)) for u, v, w in edges))
+
+
+def parse_graph_spec(spec: str) -> Graph:
+    """Resolve a builtin graph spec (SPEC_GRAMMAR) or load a graph JSON file;
+    raises InvalidGraphError for a bad spec, an unreadable file or a bad graph."""
+    head, _, rest = spec.partition(":")
+    try:
+        if head == "path":
+            n_str, _, mod = rest.partition(":")
+            g = build_path(int(n_str))
+            if mod:
+                if not mod.startswith("weaken="):
+                    raise ValueError(f"unknown path modifier {mod!r}")
+                u, v, eps = mod[len("weaken="):].split(",")
+                g = weaken_edge(g, int(u), int(v), float(eps))
+            return g
+        if head == "river":
+            parts = [x for x in rest.split(",") if x]
+            if len(parts) % 2 != 1:
+                raise ValueError("river spec needs stem,attach1,len1,...")
+            stem = int(parts[0])
+            tribs = [(int(a), int(b)) for a, b in zip(parts[1::2], parts[2::2])]
+            return build_river_channel(stem, tribs)
+        if head == "trunk":
+            tl, rf, bf = (int(x) for x in rest.split(","))
+            return build_trunk_roots(tl, rf, bf)
+    except (ValueError, EdgeNotFoundError) as exc:
+        raise InvalidGraphError(f"bad graph spec {spec!r}: {exc}") from exc
+    try:
+        with open(spec) as fh:
+            return from_json(fh.read())
+    except OSError as exc:
+        raise InvalidGraphError(f"cannot read graph file {spec!r}: {exc}") from exc

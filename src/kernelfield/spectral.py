@@ -14,11 +14,19 @@ those numbers. Its NumericalError therefore comes from reading vectors.
 An eigenvector's sign is not fixed here; every reader but eigenbasis.csv
 is invariant under flipping a column, and that file applies its own sign
 convention.
+
+The absolute tolerances here (the bottom-eigenvalue clamp and the Jacobi's
+stop) and build_coupling's empty-row test act on the kept matrix divided by
+EigenBasis.scale, for a Laplacian the largest power of two not above the
+heaviest edge. The division is exact, so scaling every weight by a power of
+two scales the eigenvalues by it and leaves the eigenvectors bit-identical;
+scale is 1 when the heaviest edge weighs 1.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,13 +43,16 @@ class EigenBasis:
     """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l]).
 
     Build it with eig_symmetric. vectors and components are computed on
-    their first read from the symmetrized matrix the basis keeps, and cached.
-    For a graph Laplacian, components is the multiplicity of the zero
-    eigenvalue, so the zero modes are the first `components` columns.
+    their first read from the symmetrized matrix the basis keeps, and cached;
+    vectors from that matrix over scale, components from its own nonzero
+    pattern, which the division could underflow. For a graph Laplacian,
+    components is the multiplicity of the zero eigenvalue, so the zero modes
+    are the first `components` columns.
     """
 
     lambdas: np.ndarray
     matrix: np.ndarray = field(repr=False, compare=False)
+    scale: float = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -54,7 +65,7 @@ class EigenBasis:
         Raises:
             NumericalError: sweep budget exhausted.
         """
-        jacobi_lam, vec = _jacobi(self.matrix.copy())
+        jacobi_lam, vec = _jacobi(self.matrix / self.scale)
         vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
         vec.setflags(write=False)
         return vec
@@ -151,11 +162,24 @@ def _symmetrized(mat) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def _eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """LAPACK's ascending eigenvalues, a bottom one in [-1e-10, 1e-10] set to 0, read-only."""
-    lam = np.linalg.eigvalsh(sym)
+def _scale(sym: np.ndarray) -> float:
+    """The largest power of two not above the largest off-diagonal magnitude (a
+    Laplacian's heaviest edge), or not above 2^-52 max|sym| where that is larger,
+    so that sym / scale stays finite; 1 for a zero matrix."""
+    mag = np.abs(sym)
+    top = float(mag.max()) * 2.0**-52
+    np.fill_diagonal(mag, 0.0)
+    top = max(top, float(mag.max()))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0 else 1.0
+
+
+def _eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
+    """scale times LAPACK's ascending eigenvalues of sym / scale, a bottom one of
+    these in [-1e-10, 1e-10] set to 0, read-only."""
+    lam = np.linalg.eigvalsh(sym / scale)
     if abs(lam[0]) < 1e-10:
         lam[0] = 0.0
+    lam *= scale
     lam.setflags(write=False)
     return lam
 
@@ -163,12 +187,13 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
 def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     """Eigendecompose a symmetric matrix into an ascending basis.
 
-    The eigenvalues come from LAPACK, and an eigenvalue in [-1e-10, 1e-10]
-    at the bottom of the spectrum is clamped to exactly 0 so
-    eigenvalue-derived mode weights stay sign-clean. The eigenvector
-    columns come from the cyclic Jacobi sweep when vectors is first read,
-    so that read may raise the sweep's NumericalError. Each eigenvector's
-    sign is whatever the sweep produced.
+    The eigenvalues come from LAPACK on the matrix over its scale (see
+    EigenBasis), and an eigenvalue at the bottom of the spectrum within
+    1e-10 * scale of 0 is clamped to exactly 0 so eigenvalue-derived mode
+    weights stay sign-clean. The eigenvector columns come from the cyclic
+    Jacobi sweep when vectors is first read, so that read may raise the
+    sweep's NumericalError. Each eigenvector's sign is whatever the sweep
+    produced.
 
     Raises:
         InvalidMatrixError: not square, a non-finite entry, or asymmetry
@@ -176,7 +201,8 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     """
     sym = _symmetrized(mat)
     sym.setflags(write=False)
-    return EigenBasis(_eigenvalues(sym), sym)
+    scale = _scale(sym)
+    return EigenBasis(_eigenvalues(sym, scale), sym, scale)
 
 
 def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:

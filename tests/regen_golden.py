@@ -25,8 +25,9 @@ import sys
 import tempfile
 
 from kernelfield import eig_symmetric, laplacian
-from kernelfield.cli import main, parse_graph_spec
+from kernelfield.cli import main
 from kernelfield.experiments import RUNNERS, SWEEP_TARGETS
+from kernelfield.graph import parse_graph_spec
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 

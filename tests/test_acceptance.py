@@ -33,6 +33,7 @@ from kernelfield import (
 )
 from kernelfield import experiments as ex
 from kernelfield.field import geodesic, geometric_R
+from kernelfield.graph import parse_graph_spec
 
 
 def _report(criterion: str, passed: bool) -> bool:
@@ -159,8 +160,8 @@ def test_criterion_7_coupled_sweep():
 
 def test_criterion_8_cross_topology():
     ok = True
-    for builder, edge in ex.EXP7_TOPOLOGIES.values():
-        records = ex.sweep_graph(builder(), *edge, ex.EPS_GRID)
+    for spec, edge in ex.EXP7_TOPOLOGIES.values():
+        records = ex.sweep_graph(parse_graph_spec(spec), *edge, ex.EPS_GRID)
         lam = [r.lambda1 for r in records]
         ent = [r.entropy for r in records]
         gap = [r.delta_fiedler for r in records]
@@ -197,7 +198,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     from kernelfield import build_coupling
     coupled = SourceSpec(weight_rule=WeightRule.EIGENVALUE, eta=0.05,
-                         coupling=build_coupling(basis, build_path(8)))
+                         coupling=build_coupling(basis))
     jac_ok = True
     for i in range(50):
         spec = coupled if i % 2 else SourceSpec()

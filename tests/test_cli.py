@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import kernelfield
 from kernelfield import experiments, spectral
-from kernelfield.cli import _CONFIG_TYPES, main, parse_graph_spec
+from kernelfield.cli import _CONFIG_TYPES, main
 from kernelfield.errors import KernelFieldError
-from kernelfield.graph import build_path, build_river_channel, build_trunk_roots, weaken_edge
+from kernelfield.graph import (build_path, build_river_channel, build_trunk_roots,
+                              parse_graph_spec, weaken_edge)
 
 
 def test_parse_graph_specs():
@@ -77,10 +78,19 @@ def test_solve_vacuum(tmp_path):
     assert np.allclose(report["h_star"], np.exp(-1.0))
 
 
-def test_solve_nonconvergence_exit_2(tmp_path):
-    code = main(["solve", "--graph", "path:8", "--max-iter", "2",
-                 "--tol", "1e-14", "--out", str(tmp_path)])
-    assert code == 2
+def test_solve_nonconvergence_exit_2(tmp_path, capsys):
+    """A solve that stops short of a fixed point reports its last iterate in
+    fixed_point.json alone: no stability or diagnostics claims about it. At
+    eta=50 Picard oscillates (rate 1.49)."""
+    for argv in (["--max-iter", "2", "--tol", "1e-14"], ["--eta", "50"]):
+        out = tmp_path / argv[1]
+        code = main(["solve", "--graph", "path:8", *argv, "--out", str(out)])
+        assert code == 2
+        assert "converged=False" in capsys.readouterr().out
+        assert os.listdir(out) == ["fixed_point.json"]
+        with open(out / "fixed_point.json") as fh:
+            report = json.load(fh)
+        assert report["converged"] is False and report["residual_inf"] > 0
 
 
 @pytest.mark.parametrize("argv, code, lo, hi", [

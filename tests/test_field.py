@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from kernelfield import (
 from kernelfield.diagnostics import fisher_rao_diag
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
 from kernelfield.field import MAX_MU2, MAX_SIGMA2
+from kernelfield.graph import Graph, parse_graph_spec
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -107,9 +109,8 @@ def test_jacobian_diagonal_value(p8):
 
 def test_jacobian_vs_finite_differences(p8):
     basis, _ = p8
-    g = build_path(8)
     coupled = SourceSpec(weight_rule=WeightRule.EIGENVALUE, eta=0.05,
-                         coupling=build_coupling(basis, g))
+                         coupling=build_coupling(basis))
     rng = np.random.default_rng(11)
     for spec in (SourceSpec(), coupled):
         for _ in range(25):
@@ -354,9 +355,9 @@ def test_geodesic_length_under_fisher_rao():
 def test_decoupled_fixed_point_is_stationary(target, eps, rule):
     """Corollary "selfconsistent": with no coupling, h*_l is a stationary point of
     phi_l(x) = -x ln(x / h0_l) - (mu2 w_l / 2) ln(sigma2 + x), mode by mode."""
-    make, (u, v) = SWEEP_TARGETS[target]
+    spec, (u, v) = SWEEP_TARGETS[target]
     sigma2, mu2 = 1.0, 2.0
-    basis, _, report, _ = solve_graph(weaken_edge(make(), u, v, eps), sigma2=sigma2, mu2=mu2,
+    basis, _, report, _ = solve_graph(weaken_edge(parse_graph_spec(spec), u, v, eps), sigma2=sigma2, mu2=mu2,
                                       weight_rule=rule)
     h0, h = report.h_star.h0, report.h_star.h
     w = basis.lambdas if rule is WeightRule.EIGENVALUE else np.ones(basis.n)
@@ -379,8 +380,8 @@ def test_decoupled_fixed_point_matches_mpmath(target, eps, rule, mp_findroot, mp
     if target == "p8":
         g = build_path(8)
     else:
-        make, (u, v) = SWEEP_TARGETS[target]
-        g = weaken_edge(make(), u, v, eps)
+        spec, (u, v) = SWEEP_TARGETS[target]
+        g = weaken_edge(parse_graph_spec(spec), u, v, eps)
     sigma2, mu2 = 1.0, 2.0
     basis, _, report, _ = solve_graph(g, sigma2=sigma2, mu2=mu2, weight_rule=rule)
     h = report.h_star.h
@@ -391,9 +392,53 @@ def test_decoupled_fixed_point_matches_mpmath(target, eps, rule, mp_findroot, mp
         assert mp_rel_error(h[l], root) <= 1e-11
 
 
+def _coupling_reference(basis, g):
+    """C from the adjacency of g's edge list: |Phi^T A Phi|, zero diagonal,
+    rows with off-diagonal mass above 1e-14 normalized to sum 1."""
+    a = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = w
+    phi = basis.vectors
+    c = np.abs(phi.T @ a @ phi)
+    np.fill_diagonal(c, 0.0)
+    sums = c.sum(axis=1)
+    keep = sums > 1e-14
+    c[keep] /= sums[keep, None]
+    c[~keep] = 0.0
+    return c
+
+
+def _random_tree(seed):
+    """A random spanning tree on 10 to 14 nodes with weights in [0.5, 2]."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 14)
+    return Graph(n, tuple((v, rng.randrange(v), round(rng.uniform(0.5, 2.0), 6))
+                          for v in range(1, n)))
+
+
+def _coupling_graph(case):
+    kind, arg = case
+    if kind == "sweep":
+        name, eps = arg
+        spec, (u, v) = SWEEP_TARGETS[name]
+        return weaken_edge(parse_graph_spec(spec), u, v, eps)
+    return parse_graph_spec(arg) if kind == "spec" else _random_tree(arg)
+
+
+@pytest.mark.parametrize("case", [
+    *(("sweep", (name, eps)) for name in SWEEP_TARGETS for eps in EPS_GRID),
+    ("spec", "path:64"),
+    *(("tree", seed) for seed in range(20)),
+], ids=str)
+def test_build_coupling_reads_the_graph_adjacency_from_the_basis(case):
+    g = _coupling_graph(case)
+    basis = eig_symmetric(laplacian(g))
+    assert np.array_equal(build_coupling(basis), _coupling_reference(basis, g))
+
+
 def test_build_coupling_structure(p8):
     basis, _ = p8
-    c = build_coupling(basis, build_path(8))
+    c = build_coupling(basis)
     assert np.all(c >= 0)
     assert np.max(np.abs(np.diag(c))) == 0.0
     sums = c.sum(axis=1)

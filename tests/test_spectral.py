@@ -23,16 +23,16 @@ from kernelfield import (
     weaken_edge,
 )
 from kernelfield import spectral
-from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS
+from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
+from kernelfield.graph import Graph, parse_graph_spec
 from kernelfield.spectral import _jacobi, eigenbasis_to_csv
 
 SWEEP_ROWS = [(name, eps) for name in SWEEP_TARGETS for eps in EPS_GRID]
 
 
 def _sweep_laplacian(target, eps):
-    make, (u, v) = SWEEP_TARGETS[target]
-    g = weaken_edge(make(), u, v, eps)
-    return g, laplacian(g)
+    spec, (u, v) = SWEEP_TARGETS[target]
+    return laplacian(weaken_edge(parse_graph_spec(spec), u, v, eps))
 
 P8_SPECTRUM = np.array([2 - 2 * np.cos(np.pi * l / 8) for l in range(8)])
 
@@ -78,7 +78,7 @@ def test_orthonormality_and_reconstruction(p8_basis):
 @pytest.mark.parametrize("target, eps", SWEEP_ROWS)
 def test_sweep_spectra_match_lapack(target, eps):
     """The LAPACK spectrum of every sweep Laplacian agrees with the Jacobi sweep's."""
-    _, lap = _sweep_laplacian(target, eps)
+    lap = _sweep_laplacian(target, eps)
     lambdas = eig_symmetric(lap).lambdas
     jacobi = np.sort(_jacobi(lap.copy())[0])
     assert np.all(np.abs(lambdas[1:] - jacobi[1:]) <= 1e-12 * lambdas[1:])
@@ -93,7 +93,7 @@ def test_laplacian_spectra_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error):
     Measured: relative error at most 1.4e-14 (river, eps=0.02, on lambda1);
     the exact bottom eigenvalue is at most 2.8e-17, from the rounded degrees.
     """
-    lap = laplacian(build_path(8)) if target == "p8" else _sweep_laplacian(target, eps)[1]
+    lap = laplacian(build_path(8)) if target == "p8" else _sweep_laplacian(target, eps)
     lambdas = eig_symmetric(lap).lambdas
     ref = mp_eigvalsh(lap)
     assert lambdas[0] == 0.0 and abs(ref[0]) <= 1e-15
@@ -103,7 +103,7 @@ def test_laplacian_spectra_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error):
 @pytest.mark.parametrize("target, eps", SWEEP_ROWS)
 def test_values_only_basis_has_the_same_eigenvalues(target, eps, jacobi_calls):
     """Until vectors is read the basis holds values only; the first read runs the Jacobi once."""
-    _, lap = _sweep_laplacian(target, eps)
+    lap = _sweep_laplacian(target, eps)
     basis = eig_symmetric(lap)
     lambdas = basis.lambdas.copy()
     assert jacobi_calls == []
@@ -126,7 +126,7 @@ def test_a_values_only_pipeline_runs_no_jacobi(jacobi_calls):
 
 @pytest.mark.parametrize("target, eps", SWEEP_ROWS)
 def test_lapack_eigenvalues_pair_with_the_jacobi_columns(target, eps):
-    _, lap = _sweep_laplacian(target, eps)
+    lap = _sweep_laplacian(target, eps)
     basis = eig_symmetric(lap)
     residual = np.max(np.abs(lap @ basis.vectors - basis.vectors * basis.lambdas))
     assert residual <= 1e-12 * np.max(np.abs(basis.lambdas))
@@ -142,7 +142,7 @@ def test_eigenvector_residual_matches_mpmath(target, eps, mp_eigenvectors, mp_ei
     (river, eps=1); the Jacobi's at most 6.3e-14 (trunk, eps=0.287), where its
     absolute 1e-12 off-diagonal stop leaves the most.
     """
-    lap = laplacian(build_path(8)) if target == "p8" else _sweep_laplacian(target, eps)[1]
+    lap = laplacian(build_path(8)) if target == "p8" else _sweep_laplacian(target, eps)
     basis = eig_symmetric(lap)
     scale = np.max(np.abs(basis.lambdas))
     assert mp_eig_residual(lap, basis.lambdas, mp_eigenvectors(lap)) <= 1e-15 * scale
@@ -150,10 +150,9 @@ def test_eigenvector_residual_matches_mpmath(target, eps, mp_eigenvectors, mp_ei
 
 
 def test_vector_readers_share_one_jacobi_run(jacobi_calls):
-    g, lap = _sweep_laplacian("path", 1.0)
-    basis = eig_symmetric(lap)
+    basis = eig_symmetric(_sweep_laplacian("path", 1.0))
     assert jacobi_calls == []
-    build_coupling(basis, g)
+    build_coupling(basis)
     materialize_kernel(basis, SpectralKernel(np.ones(8), np.ones(8)))
     eigenbasis_to_csv(basis)
     assert jacobi_calls == [(8, 8)]
@@ -268,9 +267,53 @@ def test_jacobi_on_random_symmetric(a):
     assert np.max(np.abs((basis.vectors * basis.lambdas) @ basis.vectors.T - sym)) <= 1e-8
 
 
+def test_a_subnormal_off_diagonal_keeps_the_scaled_matrix_finite():
+    """The scale never falls below 2^-52 max|entry|, so dividing a general
+    symmetric matrix by it cannot overflow its diagonal."""
+    mat = np.diag([5.0, 1.0, 2.0])
+    mat[0, 1] = mat[1, 0] = 5e-324
+    basis = eig_symmetric(mat)
+    assert basis.scale == 2.0**-50
+    assert np.array_equal(basis.lambdas, [1.0, 2.0, 5.0])
+    assert np.array_equal(np.abs(basis.vectors), np.eye(3)[:, [1, 2, 0]])
+
+
 def test_eigenbasis_csv(p8_basis):
     lines = eigenbasis_to_csv(p8_basis).strip().split("\n")
     assert len(lines) == 8
     cells = lines[1].split(",")
     assert cells[0] == "1"
     assert float(cells[1]) == p8_basis.lambdas[1]  # 17 sig digits round-trips
+
+
+# Unit-weight graphs with repeated eigenvalues (the trunk and the C8 cycle)
+# and a weakened path whose lightest edge weighs 0.02.
+_SCALE_GRAPHS = {
+    "path": parse_graph_spec("path:8"),
+    "river": parse_graph_spec("river:6,1,2,3,2"),
+    "trunk": parse_graph_spec("trunk:4,3,3"),
+    "cycle": Graph(8, tuple((i, (i + 1) % 8, 1.0) for i in range(8))),
+    "path-weakened": parse_graph_spec("path:8:weaken=2,3,0.02"),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_SCALE_GRAPHS)), k=st.integers(-200, 300),
+       eta=st.sampled_from([0.05, 0.3]))
+def test_power_of_two_weights_scale_the_spectrum_and_nothing_else(name, k, eta):
+    """Multiplying every weight by 2^k multiplies the Laplacian spectrum by 2^k
+    and, with uniform mode weights, leaves the coupled solve bit-identical:
+    the basis's tolerances act relative to the heaviest edge. The heaviest
+    edge stays at most 2^300 < MAX_WEIGHT."""
+    g = _SCALE_GRAPHS[name]
+    scaled = Graph(g.n, tuple((u, v, w * 2.0**k) for u, v, w in g.edges))
+    basis, spec, report, srep = solve_graph(g, eta=eta)
+    basis_k, spec_k, report_k, srep_k = solve_graph(scaled, eta=eta)
+    want = 2.0**k * basis.lambdas
+    assert basis_k.lambdas[0] == 0.0
+    assert np.all(np.abs(basis_k.lambdas - want) <= 1e-14 * np.abs(want))
+    assert np.array_equal(report_k.h_star.h, report.h_star.h)
+    assert np.array_equal(spec_k.coupling, spec.coupling)
+    assert srep_k.coupling_entropy == srep.coupling_entropy
+    assert srep_k.fiedler_gap == srep.fiedler_gap
+    assert srep_k.hessian_gap == srep.hessian_gap

@@ -29,6 +29,7 @@ from kernelfield import (
     weaken_edge,
 )
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
+from kernelfield.graph import parse_graph_spec
 from kernelfield.spectral import _jacobi
 
 
@@ -59,7 +60,7 @@ def test_vacuum_hessian(p8):
 
 
 def test_coupled_hessian_offdiagonal(p8):
-    c = build_coupling(p8, build_path(8))
+    c = build_coupling(p8)
     spec = SourceSpec(eta=0.05, coupling=c)
     kernel = SpectralKernel(np.ones(8), np.ones(8))
     hess = hessian(spec, p8, kernel)
@@ -106,7 +107,7 @@ def test_coupling_entropy_concentrated(p8):
 
 
 def test_coupling_entropy_bounds(p8):
-    c = build_coupling(p8, build_path(8))
+    c = build_coupling(p8)
     spec = SourceSpec(eta=0.05, coupling=c)
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -131,7 +132,7 @@ def test_stability_report_descriptive_off_fixed_point(p8):
 
 
 def test_stability_report_coupled(p8):
-    c = build_coupling(p8, build_path(8))
+    c = build_coupling(p8)
     spec = SourceSpec(weight_rule=WeightRule.EIGENVALUE, eta=0.05, coupling=c)
     report = solve_fixed_point(spec, p8, np.ones(8))
     rep = stability_report(spec, p8, report.h_star)
@@ -179,7 +180,7 @@ def _coupled_row(g, u, v, eps):
     ("path64", 31, 32, 0.109),
 ])
 def test_hessian_eigenvalues_match_the_jacobi_solver(target, u, v, eps):
-    g = build_path(64) if target == "path64" else SWEEP_TARGETS[target][0]()
+    g = build_path(64) if target == "path64" else parse_graph_spec(SWEEP_TARGETS[target][0])
     rep = _coupled_row(g, u, v, eps)
     sym = (rep.hessian + rep.hessian.T) / 2.0
     assert np.max(np.abs(sym - np.diag(np.diag(sym)))) > 1e-6  # a dense case
@@ -192,8 +193,8 @@ def test_hessian_eigenvalues_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error
     """LAPACK's eigenvalues of sym(H) on the coupled sweep rows against 50-digit
     mpmath.eigsy on the same binary64 matrix. Measured: relative error at most
     3.5e-14 (trunk, eps=0.109)."""
-    make, (u, v) = SWEEP_TARGETS[target]
-    rep = _coupled_row(make(), u, v, eps)
+    spec, (u, v) = SWEEP_TARGETS[target]
+    rep = _coupled_row(parse_graph_spec(spec), u, v, eps)
     ref = mp_eigvalsh((rep.hessian + rep.hessian.T) / 2.0)
     assert max(mp_rel_error(x, r) for x, r in zip(rep.eigenvalues, ref)) <= 3e-13
 
