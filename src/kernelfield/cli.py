@@ -2,9 +2,11 @@
 
 Subcommands: solve (experiments.solve_graph on one graph, then the
 diagnostics; --out is created only once both succeed, and a solve that does
-not converge writes fixed_point.json alone), reproduce (experiment runners),
-sweep (experiments.run_sweep on a builtin target), graph (dump Laplacian and
-spectrum). Exit codes are the machine contract: 0 success, 1 input error
+not converge writes fixed_point.json alone and removes an earlier run's
+stability.json and diagnostics.json from --out), reproduce (experiment
+runners), sweep (experiments.run_sweep on a builtin target), graph (dump
+Laplacian and spectrum; --out is created only once both texts are built).
+Exit codes are the machine contract: 0 success, 1 input error
 (usage errors included), 2 numerical non-convergence. All artifact files are
 written atomically (temp file + rename).
 """
@@ -12,6 +14,7 @@ written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -63,6 +66,19 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
+def _write_artifacts(out: str, artifacts: dict[str, str], stale=()) -> None:
+    """Create out, delete the stale names from it, then write each text atomically.
+
+    Callers build every text first, so a failure writes no artifact.
+    """
+    os.makedirs(out, exist_ok=True)
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out, name))
+    for name, text in artifacts.items():
+        _write_atomic(os.path.join(out, name), text)
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
     g = graphmod.parse_graph_spec(_setting(args, config, "graph", "path:8"))
@@ -73,15 +89,15 @@ def cmd_solve(args) -> int:
     out = _setting(args, config, "out", ".")
     basis, _, report, srep = experiments.solve_graph(g, **params)
     # Stability and diagnostics describe a fixed point, so only a converged
-    # solve writes them; otherwise the last iterate is reported alone.
+    # solve writes them; otherwise the last iterate is reported alone, and an
+    # earlier run's claims are not left beside it.
     artifacts = {"fixed_point.json": report.to_json()}
     if report.converged:
         artifacts["stability.json"] = srep.to_json()
         artifacts["diagnostics.json"] = diagnostics_record(report.h_star.h,
                                                            report.h_star.h0).to_json()
-    os.makedirs(out, exist_ok=True)
-    for name, text in artifacts.items():
-        _write_atomic(os.path.join(out, name), text)
+    stale = () if report.converged else ("stability.json", "diagnostics.json")
+    _write_artifacts(out, artifacts, stale)
     components = basis.components
     if components > 1:
         print(f"warning: graph has {components} connected components, so its Laplacian's "
@@ -135,9 +151,8 @@ def cmd_graph(args) -> int:
     g = graphmod.parse_graph_spec(args.graph)
     basis = eig_symmetric(graphmod.laplacian(g))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_atomic(os.path.join(args.out, "graph.json"), graphmod.to_json(g))
-        _write_atomic(os.path.join(args.out, "eigenbasis.csv"), eigenbasis_to_csv(basis))
+        _write_artifacts(args.out, {"graph.json": graphmod.to_json(g),
+                                    "eigenbasis.csv": eigenbasis_to_csv(basis)})
     print(f"n={g.n} edges={len(g.edges)} connected={basis.components == 1}")
     print("eigenvalues: " + " ".join(f"{x:.6g}" for x in basis.lambdas))
     return 0

@@ -7,7 +7,12 @@ eigenvector columns on the first read of EigenBasis.vectors, since the
 uncoupled field equation, its Hessian and the spectral entropy depend on
 the eigenvalues alone. The columns come from a cyclic Jacobi sweep:
 deterministic, and accurate well past the 1e-9 residual budget at the
-matrix sizes used here. The Jacobi stays because the coupled outputs read
+matrix sizes used here. It keeps A and V in one n x 2n array whose row l is
+row l of A beside column l of V, so one in-place rotation of two rows
+rotates A's rows and V's columns at once; since A stays exactly symmetric,
+A's new rows are also its new columns off the rotated 2x2 block, and the
+sweep is bit-identical to the textbook loop that rotates columns, then
+rows, then V (see _jacobi). The Jacobi stays because the coupled outputs read
 the eigenvectors, which are not unique where an eigenvalue repeats: until
 the basis is made canonical on such subspaces, another solver would change
 those numbers. Its NumericalError therefore comes from reading vectors.
@@ -113,41 +118,68 @@ class SpectralKernel:
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvector columns) unsorted."""
+    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvector columns) unsorted.
+
+    a must be exactly symmetric, as eig_symmetric's kept matrix is. The
+    sweep is the textbook cyclic one (Golub & Van Loan, Matrix Computations,
+    section 8.5): for each pair p < q in row order, rotate columns p and q of
+    A, then rows p and q, zero A[p, q], and rotate columns p and q of V.
+
+    It works on one n x 2n array w whose row l is row l of A beside column l
+    of V. Rotating rows p and q of w in place rotates A's rows and V's
+    columns in one step. A stays exactly symmetric: off the 2x2 block
+    {p, q} x {p, q}, the column rotation computes A[j, p] = c A[j, p] - s A[j, q]
+    from the same operands, in the same order, as the row rotation computes
+    A[p, j], so copying A's new rows p and q into its columns p and q gives
+    the textbook result bit for bit. Only the block, where the row rotation
+    reads the column rotation's output, is set from scalars with the
+    textbook's two steps. The result is bit-identical to the textbook loop.
+    """
     n = a.shape[0]
-    v = np.eye(n)
+    w = np.hstack((a, np.eye(n)))
+    mat = w[:, :n]
+    rows, cols = list(w), list(mat.T)  # views: row l of w, column l of A
     for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
+        off = np.sqrt(np.sum(np.tril(mat, -1) ** 2) * 2.0)
         if off <= _OFFDIAG_TOL:
             break
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = w.item(p, q)
                 if apq == 0.0:
                     continue
-                diff = a[q, q] - a[p, p]
+                app, aqq = w.item(p, p), w.item(q, q)
+                diff = aqq - app
                 if abs(apq) < 1e-150 * abs(diff):
                     t = apq / diff  # negligible angle; theta itself would overflow
                 elif diff == 0.0:
                     t = 1.0
                 else:
                     theta = diff / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
+                    t = float(np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)))
+                # np.hypot, not math.hypot: they differ in the last bit on some inputs.
+                c = float(1.0 / np.hypot(t, 1.0))
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                # Rows p, q of w become c row_p - s row_q and s row_p + c row_q.
+                row_q = rows[q]
+                old_p, c_row_q = row_p.copy(), c * row_q
+                row_q *= s
+                np.multiply(old_p, c, out=row_p)
+                row_p -= row_q
+                np.multiply(old_p, s, out=row_q)
+                row_q += c_row_q
+                cols[p][:] = row_p[:n]
+                cols[q][:] = row_q[:n]
+                # The block: the column rotation's 2x2, then the row rotation's.
+                bpp, bpq = c * app - s * apq, s * app + c * apq
+                bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
+                w[p, p] = c * bpp - s * bqp
+                w[q, q] = s * bpq + c * bqq
+                w[p, q] = w[q, p] = 0.0
     else:
         raise NumericalError(f"Jacobi sweep did not converge in {_MAX_SWEEPS} sweeps")
-    return np.diag(a).copy(), v
+    return w.diagonal().copy(), w[:, n:].T.copy()
 
 
 def _symmetrized(mat) -> np.ndarray:

@@ -91,6 +91,34 @@ def test_solve_nonconvergence_exit_2(tmp_path, capsys):
         with open(out / "fixed_point.json") as fh:
             report = json.load(fh)
         assert report["converged"] is False and report["residual_inf"] > 0
+    # A converged run and then a non-converged one into one directory: the
+    # second removes the first's stability and diagnostics claims, and only those.
+    out = tmp_path / "reused"
+    assert main(["solve", "--graph", "path:8", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(["solve", "--graph", "path:8", "--eta", "50", "--out", str(out)]) == 2
+    assert "converged=False" in capsys.readouterr().out.splitlines()[-1]
+    assert sorted(os.listdir(out)) == ["fixed_point.json", "notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
+    with open(out / "fixed_point.json") as fh:
+        assert json.load(fh)["converged"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "path:8"],
+    ["solve", "--graph", "path:8", "--eta", "0.1"],
+], ids=["graph", "solve-coupled"])
+def test_an_exhausted_jacobi_sweep_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    """An eigenvector read whose sweep budget runs out is a numerical failure:
+    one stderr line, exit 2, and no --out directory, let alone a lone graph.json."""
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: Jacobi sweep did not converge in 1 sweeps\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code, lo, hi", [

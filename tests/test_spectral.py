@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from kernelfield import (
     DimensionMismatchError,
     InvalidMatrixError,
+    NumericalError,
     SourceSpec,
     SpectralKernel,
     WeightRule,
@@ -276,6 +277,98 @@ def test_a_subnormal_off_diagonal_keeps_the_scaled_matrix_finite():
     assert basis.scale == 2.0**-50
     assert np.array_equal(basis.lambdas, [1.0, 2.0, 5.0])
     assert np.array_equal(np.abs(basis.vectors), np.eye(3)[:, [1, 2, 0]])
+
+
+def _textbook_jacobi(a):
+    """The cyclic Jacobi sweep as the textbook writes it (Golub & Van Loan,
+    section 8.5): rotate columns p and q of A, then rows p and q, zero
+    A[p, q] and rotate columns p and q of V. A test-only reference for the
+    stacked sweep in spectral._jacobi."""
+    n = a.shape[0]
+    v = np.eye(n)
+    for _ in range(spectral._MAX_SWEEPS):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
+        if off <= spectral._OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-150 * abs(diff):
+                    t = apq / diff  # negligible angle; theta itself would overflow
+                elif diff == 0.0:
+                    t = 1.0
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    else:
+        raise NumericalError(f"Jacobi sweep did not converge in {spectral._MAX_SWEEPS} sweeps")
+    return np.diag(a).copy(), v
+
+
+def _assert_jacobi_matches_the_textbook_bitwise(sym):
+    """Eigenvalues and columns equal to the last bit, signed zeros included,
+    in the same C-contiguous layout."""
+    lam, vec = _jacobi(sym.copy())
+    ref_lam, ref_vec = _textbook_jacobi(sym.copy())
+    assert np.array_equal(lam.view(np.int64), ref_lam.view(np.int64))
+    assert np.array_equal(vec.view(np.int64), ref_vec.view(np.int64))
+    assert vec.flags.c_contiguous
+
+
+def _symmetric(draw, elements):
+    n = draw(st.integers(1, 12))
+    a = draw(arrays(np.float64, (n, n), elements=elements))
+    return (a + a.T) / 2.0
+
+
+@st.composite
+def _jacobi_inputs(draw):
+    """A general symmetric matrix, one of small integers (many equal diagonal
+    entries, so the diff == 0 angle), or a unit-weight graph Laplacian (repeated
+    eigenvalues), as eig_symmetric keeps it: exactly symmetric."""
+    kind = draw(st.sampled_from(["general", "integer", "laplacian"]))
+    if kind == "general":
+        return _symmetric(draw, st.floats(-5, 5))
+    if kind == "integer":
+        return _symmetric(draw, st.integers(-3, 3).map(float))
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return laplacian(Graph(n, tuple((u, v, 1.0) for u, v in edges)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_jacobi_inputs())
+def test_jacobi_is_bit_identical_to_the_textbook_sweep(sym):
+    _assert_jacobi_matches_the_textbook_bitwise(sym)
+
+
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS + [("path64", None)])
+def test_jacobi_is_bit_identical_to_the_textbook_sweep_on_sweep_laplacians(target, eps):
+    lap = laplacian(build_path(64)) if target == "path64" else _sweep_laplacian(target, eps)
+    _assert_jacobi_matches_the_textbook_bitwise(lap)
+
+
+def test_an_exhausted_sweep_raises_on_the_vectors_read(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+    basis = eig_symmetric(laplacian(build_path(8)))
+    with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
+        basis.vectors
 
 
 def test_eigenbasis_csv(p8_basis):
