@@ -7,49 +7,53 @@ stability.json and diagnostics.json from --out), reproduce (experiment
 runners), sweep (experiments.run_sweep on a builtin target), graph (dump
 Laplacian and spectrum; --out is created only once both texts are built).
 Exit codes are the machine contract: 0 success, 1 input error
-(usage errors included), 2 numerical non-convergence. All artifact files are
-written atomically (temp file + rename).
+(usage errors included), 2 numerical non-convergence. experiments.write_artifacts
+writes every file, atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 
 from . import experiments, graph as graphmod
 from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
-from .experiments import EPS_GRID, RUNNERS, _write_atomic
+from .experiments import EPS_GRID, RUNNERS, write_artifacts
 from .field import WeightRule
-from .graph import _is_number
+from .graph import is_json_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The --config JSON object, whose fields must be dests of the command's flags."""
+    if args.config is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise KernelFieldError(f"cannot read config {path!r}: {exc}") from exc
+        raise KernelFieldError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(obj, dict):
         raise KernelFieldError("config must be a JSON object")
+    taken = sorted(set(vars(args)) - {"config", "command", "func"})
+    unknown = [key for key in obj if key not in taken]
+    if unknown:
+        raise KernelFieldError(f"unknown config field(s) {', '.join(map(repr, unknown))} for "
+                               f"{args.command}, which takes {', '.join(taken)}")
     return obj
 
 
 # The JSON type a config field must have, as (description, test). Flag
 # values are typed by argparse instead.
 _CONFIG_TYPES = {
-    **dict.fromkeys(("sigma2", "mu2", "eta", "tol"), ("a number", _is_number)),
+    **dict.fromkeys(("sigma2", "mu2", "eta", "tol"), ("a number", is_json_number)),
     "max_iter": ("an integer", lambda x: type(x) is int),
     **dict.fromkeys(("graph", "out", "weights"), ("a string", lambda x: type(x) is str)),
     "coupled": ("true or false", lambda x: type(x) is bool),
     "eps_values": ("a comma-separated string or a non-empty list of numbers",
-                   lambda x: type(x) is str or (type(x) is list and x and all(map(_is_number, x)))),
+                   lambda x: type(x) is str or (type(x) is list and x and all(map(is_json_number, x)))),
 }
 
 
@@ -66,21 +70,8 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
-def _write_artifacts(out: str, artifacts: dict[str, str], stale=()) -> None:
-    """Create out, delete the stale names from it, then write each text atomically.
-
-    Callers build every text first, so a failure writes no artifact.
-    """
-    os.makedirs(out, exist_ok=True)
-    for name in stale:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out, name))
-    for name, text in artifacts.items():
-        _write_atomic(os.path.join(out, name), text)
-
-
 def cmd_solve(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     g = graphmod.parse_graph_spec(_setting(args, config, "graph", "path:8"))
     number = lambda key, default: float(_setting(args, config, key, default))
     params = dict(eta=number("eta", 0.0), sigma2=number("sigma2", 1.0), mu2=number("mu2", 2.0),
@@ -97,7 +88,7 @@ def cmd_solve(args) -> int:
         artifacts["diagnostics.json"] = diagnostics_record(report.h_star.h,
                                                            report.h_star.h0).to_json()
     stale = () if report.converged else ("stability.json", "diagnostics.json")
-    _write_artifacts(out, artifacts, stale)
+    write_artifacts(out, artifacts, stale)
     components = basis.components
     if components > 1:
         print(f"warning: graph has {components} connected components, so its Laplacian's "
@@ -108,14 +99,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.experiment == "all":
-        names = list(RUNNERS)
-    elif args.experiment in RUNNERS:
-        names = [args.experiment]
-    else:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"choose from {', '.join(RUNNERS)} or 'all'", file=sys.stderr)
-        return 1
+    names = list(RUNNERS) if args.experiment == "all" else [args.experiment]
     all_passed = True
     for name in names:
         result = RUNNERS[name](args.out)
@@ -125,7 +109,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     target = _setting(args, config, "graph", "path")
     eps_values = _setting(args, config, "eps_values", EPS_GRID)
     if isinstance(eps_values, str):
@@ -151,8 +135,8 @@ def cmd_graph(args) -> int:
     g = graphmod.parse_graph_spec(args.graph)
     basis = eig_symmetric(graphmod.laplacian(g))
     if args.out:
-        _write_artifacts(args.out, {"graph.json": graphmod.to_json(g),
-                                    "eigenbasis.csv": eigenbasis_to_csv(basis)})
+        write_artifacts(args.out, {"graph.json": graphmod.to_json(g),
+                                   "eigenbasis.csv": eigenbasis_to_csv(basis)})
     print(f"n={g.n} edges={len(g.edges)} connected={basis.components == 1}")
     print("eigenvalues: " + " ".join(f"{x:.6g}" for x in basis.lambdas))
     return 0
@@ -184,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_rep = sub.add_parser("reproduce", help="run experiment reproductions")
-    p_rep.add_argument("experiment")
+    p_rep.add_argument("experiment", choices=[*RUNNERS, "all"])
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -7,10 +7,12 @@ and exp4 run it. run_sweep is the one sweep driver: the CLI `sweep` command,
 exp6, exp6b and exp7 all call it on a builtin target, a graph spec in
 SWEEP_TARGETS. Every runner is pure computation plus optional artifact
 files; there is no randomness anywhere, so repeated runs are byte-identical.
+write_artifacts writes every file kernelfield writes, the CLI's included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -61,19 +63,26 @@ class ExperimentResult:
     metrics: dict
 
 
-def _write_atomic(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def write_artifacts(out_dir: str, texts: dict[str, str], stale=()) -> None:
+    """Create out_dir, remove its stale names, then write each name -> text to
+    name.tmp and rename it over name. Every file kernelfield writes comes here."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        with open(path + ".tmp", "w") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list], fmt: str):
+def _csv(header: list[str], rows: list[list], fmt: str) -> str:
     """Header line, then one line per row: floats in `fmt`, anything else by str."""
     lines = [",".join(header)]
     lines += [",".join(format(x, fmt) if isinstance(x, float) else str(x) for x in row)
               for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _result(exp_id: str, passed: bool, metrics: dict, out_dir: str | None,
@@ -81,10 +90,8 @@ def _result(exp_id: str, passed: bool, metrics: dict, out_dir: str | None,
     """The runner's result, also written to <id>_results.json and <id>_table.csv if out_dir."""
     result = ExperimentResult(exp_id, passed, metrics)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, f"{exp_id}_results.json"),
-                      json.dumps(asdict(result), indent=2))
-        _write_csv(os.path.join(out_dir, f"{exp_id}_table.csv"), table_header, table_rows, ".6g")
+        write_artifacts(out_dir, {f"{exp_id}_results.json": json.dumps(asdict(result), indent=2),
+                                  f"{exp_id}_table.csv": _csv(table_header, table_rows, ".6g")})
     return result
 
 
@@ -261,15 +268,13 @@ def run_sweep(target: str = "path", eps_values=EPS_GRID, coupled: bool = False,
     spec, (u, v) = SWEEP_TARGETS[target]
     records = sweep_graph(graph.parse_graph_spec(spec), u, v, eps_values, coupled=coupled, eta=eta)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        stem = os.path.join(out_dir, prefix + ("_coupled" if coupled else ""))
+        stem = prefix + ("_coupled" if coupled else "")
         table = [_sweep_row(r) for r in records]
         norms = zip(*(_normalize(col) for col in list(zip(*table))[1:]))
-        _write_csv(stem + "_plotdata.csv",
-                   [*_SWEEP_COLUMNS, *(f"{c}_norm" for c in _SWEEP_COLUMNS[1:])],
-                   [row + list(norm) for row, norm in zip(table, norms)], ".17g")
-        _write_atomic(stem + "_records.json", json.dumps(
-            [dict(asdict(r), h_star=list(r.h_star)) for r in records], indent=2))
+        plot = _csv([*_SWEEP_COLUMNS, *(f"{c}_norm" for c in _SWEEP_COLUMNS[1:])],
+                    [row + list(norm) for row, norm in zip(table, norms)], ".17g")
+        write_artifacts(out_dir, {f"{stem}_plotdata.csv": plot, f"{stem}_records.json": json.dumps(
+            [dict(asdict(r), h_star=list(r.h_star)) for r in records], indent=2)})
     return records
 
 

@@ -149,14 +149,14 @@ def to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]})
 
 
-def _is_number(x) -> bool:
+def is_json_number(x) -> bool:
     """A JSON number that binary64 holds: not a bool, nor an integer beyond its range."""
     return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def _is_edge(e) -> bool:
     return (type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
-            and _is_number(e[2]))
+            and is_json_number(e[2]))
 
 
 def from_json(text: str) -> Graph:

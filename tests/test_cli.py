@@ -188,11 +188,6 @@ def test_reproduce_exp2(tmp_path, capsys):
     assert (tmp_path / "exp2_results.json").exists()
 
 
-def test_reproduce_unknown_id(capsys):
-    assert main(["reproduce", "exp9"]) == 1
-    assert "unknown experiment" in capsys.readouterr().err
-
-
 def test_reproduce_all_consistent_exit(tmp_path, capsys):
     code = main(["reproduce", "all", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -463,6 +458,7 @@ def test_graph_spec_grammar_exits_0_or_1(spec):
     (["solve", "--no-such-flag"], 1),
     (["sweep", "--coupled", "yes"], 1),
     (["sweep", "--help"], 0),
+    (["reproduce", "exp9"], 1),
 ])
 def test_parser_exit_code(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
@@ -496,6 +492,21 @@ def test_sweep_config_boolean_and_number_list(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cfg.json", "sweep_trunk_plotdata.csv", "sweep_trunk_records.json"]
+
+
+@pytest.mark.parametrize("command, setting, named", [
+    ("solve", {"sigma": 0.3}, "'sigma'"),
+    ("sweep", {"mu2": 5, "sigma2": 0.1}, "'mu2', 'sigma2'"),
+], ids=["solve-typo", "sweep-fixed-source"])
+def test_config_field_the_command_does_not_take_exit_1(tmp_path, capsys, command, setting, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "out"), **setting}))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown config field(s) {named} for {command}, ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("setting", [
@@ -539,14 +550,25 @@ _CONFIG_VALUES = {
     "weights": st.sampled_from(["uniform", "eigenvalue"]) | st.text(max_size=4) | _NUMBER | _NOT_STRING,
 }
 _SOLVE_KEYS = ("graph", "sigma2", "mu2", "weights", "eta", "tol", "max_iter", "out")
+# Keys that solve does not take: sweep's own keys, and typos of solve's.
+_NOT_SOLVE_KEYS = ("eps_values", "coupled", "sigma", "max-iter", "Eta")
+
+
+def _config_error(err: str, key: str, taken) -> bool:
+    """Whether err is the one error line for config key: unknown to the command
+    when key is not in taken, and of the wrong JSON type otherwise."""
+    if key not in taken:
+        return err.startswith(f"error: unknown config field(s) {key!r} for ") and err.count("\n") == 1
+    return err.startswith(f"error: config {key} must be ")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.sampled_from(_SOLVE_SPECS), st.sampled_from(_SOLVE_KEYS).flatmap(
+@given(st.sampled_from(_SOLVE_SPECS), st.sampled_from(_SOLVE_KEYS + _NOT_SOLVE_KEYS).flatmap(
     lambda key: st.tuples(st.just(key), _CONFIG_VALUES.get(key, _NUMBER | st.text(max_size=4) | _NOT_STRING))))
 def test_solve_config_grammar(tmp_path_factory, spec, setting):
-    """One config key of any JSON kind: exit 1 naming the key exactly when its type
-    test fails, and otherwise exit 0, 1 or 2 without a traceback."""
+    """One config key of any JSON kind: exit 1 naming the key exactly when solve
+    does not take it or its type test fails, and otherwise exit 0, 1 or 2
+    without a traceback."""
     key, value = setting
     root = tmp_path_factory.mktemp("config")
     if key == "out" and type(value) is str:
@@ -556,9 +578,11 @@ def test_solve_config_grammar(tmp_path_factory, spec, setting):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["solve", "--config", str(cfg)])
-    named = code == 1 and err.getvalue().startswith(f"error: config {key} must be ")
+    named = code == 1 and _config_error(err.getvalue(), key, _SOLVE_KEYS)
     assert code in (0, 1, 2)
-    assert named == (not _CONFIG_TYPES[key][1](value))
+    assert named == (key not in _SOLVE_KEYS or not _CONFIG_TYPES[key][1](value))
+    if key not in _SOLVE_KEYS:
+        assert not (root / "out").exists()
 
 
 # The same for sweep: the base config is a valid sweep of at most 3 rows on
@@ -566,6 +590,9 @@ def test_solve_config_grammar(tmp_path_factory, spec, setting):
 # eps list holds at most 3 values, and a string out is a directory under the
 # test's temporary one.
 _SWEEP_KEYS = ("graph", "eps_values", "coupled", "eta", "out")
+# Keys that sweep does not take: solve's own keys, since a sweep fixes its
+# source, and typos of sweep's.
+_NOT_SWEEP_KEYS = ("sigma2", "mu2", "weights", "tol", "max_iter", "eps", "eps-values")
 _SWEEP_VALUES = {
     "graph": st.sampled_from(["path", "river", "trunk", "path:8", ""]) | _NUMBER | _NOT_STRING,
     "eps_values": (st.text(max_size=5) | st.lists(_NUMBER | st.booleans() | st.text(max_size=3), max_size=3)
@@ -578,10 +605,12 @@ _SWEEP_VALUES = {
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(["path", "river", "trunk"]), st.booleans(),
-       st.sampled_from(_SWEEP_KEYS).flatmap(lambda key: st.tuples(st.just(key), _SWEEP_VALUES[key])))
+       st.sampled_from(_SWEEP_KEYS + _NOT_SWEEP_KEYS).flatmap(lambda key: st.tuples(
+           st.just(key), _SWEEP_VALUES.get(key, _NUMBER | st.text(max_size=4) | _NOT_STRING))))
 def test_sweep_config_grammar(tmp_path_factory, target, coupled, setting):
     """One sweep config key of any JSON kind: exit 1 naming the key exactly when
-    its type test fails, and otherwise exit 0, 1 or 2 without a traceback."""
+    sweep does not take it or its type test fails, and otherwise exit 0, 1 or 2
+    without a traceback."""
     key, value = setting
     root = tmp_path_factory.mktemp("config")
     if key == "out" and type(value) is str:
@@ -592,9 +621,11 @@ def test_sweep_config_grammar(tmp_path_factory, target, coupled, setting):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["sweep", "--config", str(cfg)])
-    named = code == 1 and err.getvalue().startswith(f"error: config {key} must be ")
+    named = code == 1 and _config_error(err.getvalue(), key, _SWEEP_KEYS)
     assert code in (0, 1, 2)
-    assert named == (not _CONFIG_TYPES[key][1](value))
+    assert named == (key not in _SWEEP_KEYS or not _CONFIG_TYPES[key][1](value))
+    if key not in _SWEEP_KEYS:
+        assert not (root / "out").exists()
 
 
 def _not_json(constant):
@@ -624,6 +655,7 @@ def test_every_json_artifact_is_strict_json(tmp_path, capsys):
     assert len(artifacts) == 10 + 6 + 3 * 9 + 3
     for path in artifacts:
         json.loads(path.read_text(), parse_constant=_not_json)
+    assert not list(tmp_path.glob("run*/*.tmp"))  # every write was renamed into place
 
 
 @pytest.mark.parametrize("argv, setting, message", [

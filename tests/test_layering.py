@@ -1,0 +1,76 @@
+"""Layering rules of the package, read from its source with ast.
+
+1. No module imports another module's _-prefixed name: what one module
+   shares with another is public.
+2. Only experiments.write_artifacts writes to the file system (os.replace,
+   os.makedirs, os.remove and their kin, or open in a write mode), so every
+   artifact is written atomically in one place.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import kernelfield
+
+SRC = pathlib.Path(kernelfield.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+_OS_WRITES = {"replace", "rename", "makedirs", "mkdir", "remove", "unlink", "rmdir"}
+
+
+def _imports_private(tree: ast.Module) -> list[str]:
+    """`from <package module> import _name` statements, as "module._name"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kernelfield")):
+            found += [f"{node.module or ''}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether call is an os file-system write or an open() in a write mode."""
+    fn = call.func
+    if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id == "os":
+        return fn.attr in _OS_WRITES
+    if isinstance(fn, ast.Name) and fn.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+        # A mode that is not a literal may write.
+        return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+    return False
+
+
+def _writers(name: str, tree: ast.Module) -> set[str]:
+    """The functions of module name (or the module body) that call a write."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{name}.{node.name}"
+        if isinstance(node, ast.Call) and _writes(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, name)
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    found = {name: _imports_private(tree) for name, tree in MODULES.items()}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_only_write_artifacts_writes_files():
+    writers = set().union(*(_writers(name, tree) for name, tree in MODULES.items()))
+    assert writers == {"experiments.write_artifacts"}
+
+
+def test_the_rules_see_what_they_forbid():
+    tree = ast.parse("from .experiments import _write_atomic\n"
+                     "def save(p):\n    with open(p, 'w') as fh:\n        os.makedirs(p)\n"
+                     "def load(p):\n    return open(p).read(), open(p, mode='rb')\n")
+    assert _imports_private(tree) == ["experiments._write_atomic"]
+    assert _writers("m", tree) == {"m.save"}
