@@ -28,13 +28,11 @@ from .field import (
     SourceSpec,
     WeightRule,
     build_coupling,
-    geodesic,
     geometric_R,
     residual_inf,
     solve_fixed_point,
     source_jacobian,
     source_T,
-    vacuum_solution,
 )
 from .graph import (
     Graph,
@@ -49,7 +47,6 @@ from .spectral import (
     SpectralKernel,
     eig_symmetric,
     heat_kernel_weights,
-    hs_distance,
     materialize_kernel,
 )
 from .stability import (

@@ -20,7 +20,7 @@ import sys
 from . import experiments, graph as graphmod
 from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
-from .experiments import EPS_GRID, RUNNERS, write_artifacts
+from .experiments import EPS_GRID, RUNNERS, SWEEP_ETA, write_artifacts
 from .field import WeightRule
 from .graph import is_json_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
@@ -70,13 +70,18 @@ def _setting(args, config: dict, key: str, default):
     return config[key]
 
 
+# solve's settings as (config key, solve_graph parameter, conversion).
+_SOLVE_SETTINGS = (("eta", "eta", float), ("sigma2", "sigma2", float), ("mu2", "mu2", float),
+                   ("weights", "weight_rule", WeightRule), ("tol", "tol", float),
+                   ("max_iter", "max_iter", int))
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args)
     g = graphmod.parse_graph_spec(_setting(args, config, "graph", "path:8"))
-    number = lambda key, default: float(_setting(args, config, key, default))
-    params = dict(eta=number("eta", 0.0), sigma2=number("sigma2", 1.0), mu2=number("mu2", 2.0),
-                  weight_rule=WeightRule(_setting(args, config, "weights", "uniform")),
-                  tol=number("tol", 1e-12), max_iter=_setting(args, config, "max_iter", 200))
+    # Only the settings a flag or the config gives; solve_graph holds the defaults.
+    params = {name: kind(val) for key, name, kind in _SOLVE_SETTINGS
+              if (val := _setting(args, config, key, None)) is not None}
     out = _setting(args, config, "out", ".")
     basis, _, report, srep = experiments.solve_graph(g, **params)
     # Stability and diagnostics describe a fixed point, so only a converged
@@ -112,17 +117,21 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     target = _setting(args, config, "graph", "path")
     eps_values = _setting(args, config, "eps_values", EPS_GRID)
-    if isinstance(eps_values, str):
-        eps_values = eps_values.split(",")
     coupled = _setting(args, config, "coupled", False)
     eta = _setting(args, config, "eta", None)
     if eta is not None and not coupled:
         raise KernelFieldError("--eta needs --coupled: eta is the mode-coupling strength")
     if eta is not None and not eta > 0:
         raise KernelFieldError(f"eta must be positive for a coupled sweep, got {eta!r}")
+    try:
+        eps = [float(x) for x in (eps_values.split(",") if isinstance(eps_values, str)
+                                  else eps_values)]
+    except ValueError:
+        raise KernelFieldError(f"eps_values must be comma-separated numbers, "
+                               f"got {eps_values!r}") from None
     records = experiments.run_sweep(
-        target, [float(x) for x in eps_values], coupled=coupled,
-        eta=0.05 if eta is None else float(eta),
+        target, eps, coupled=coupled,
+        eta=SWEEP_ETA if eta is None else float(eta),
         out_dir=_setting(args, config, "out", "."), prefix=f"sweep_{target}")
     for r in records:
         flag = "" if r.converged else "  [not converged]"

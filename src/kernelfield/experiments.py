@@ -2,8 +2,8 @@
 reproduction runners for the numbered experiments.
 
 solve_graph is the one pipeline (Laplacian basis, source, fixed point from
-h0 = 1, stability report): the CLI `solve` command, every sweep row, exp2
-and exp4 run it. run_sweep is the one sweep driver: the CLI `sweep` command,
+h0 = 1, stability report): the CLI `solve` command, every sweep row, exp2,
+exp3 and exp4 run it. run_sweep is the one sweep driver: the CLI `sweep` command,
 exp6, exp6b and exp7 all call it on a builtin target, a graph spec in
 SWEEP_TARGETS. Every runner is pure computation plus optional artifact
 files; there is no randomness anywhere, so repeated runs are byte-identical.
@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import field, graph, stability
-from .diagnostics import spectral_entropy
+from .diagnostics import fisher_rao_diag, spectral_entropy
 from .errors import DomainError
 from .field import SourceSpec, WeightRule
-from .spectral import SpectralKernel, eig_symmetric, heat_kernel_weights
+from .spectral import SpectralKernel, eig_symmetric, heat_kernel_weights, materialize_kernel
 
 # Edge-weakening grid used throughout the sweeps.
 EPS_GRID = (1.000, 0.644, 0.287, 0.109, 0.020)
@@ -38,6 +38,9 @@ REFERENCE_SWEEP = (
 )
 
 HEAT_TAUS = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+# The mode-coupling strength eta of a coupled sweep row.
+SWEEP_ETA = 0.05
 
 # SweepRecord scalars in table order: the sweep plotdata and the exp6/exp6b tables.
 _SWEEP_COLUMNS = ("eps", "lambda1", "entropy", "delta_fiedler", "coupling_entropy")
@@ -149,27 +152,45 @@ def run_exp2(out_dir: str | None = None) -> ExperimentResult:
                    out_dir, ["mode", "h_star"], [[l, float(h[l])] for l in range(basis.n)])
 
 
+def _fisher_rao_length(log_h: np.ndarray) -> float:
+    """Length under fisher_rao_diag of the path through the rows of log_h = ln h: the sum
+    over its steps of sqrt(dh^T I dh), with I at the step's geometric midpoint."""
+    h = np.exp(log_h)
+    return float(np.sqrt((fisher_rao_diag(np.sqrt(h[1:] * h[:-1]))
+                          * np.diff(h, axis=0) ** 2).sum(axis=1)).sum())
+
+
 def run_exp3(out_dir: str | None = None) -> ExperimentResult:
-    """Vacuum solution ratio and geodesic log-linearity."""
-    basis = eig_symmetric(graph.laplacian(graph.build_path(8)))
-    h0 = np.ones(basis.n)
-    vac = field.vacuum_solution(h0)
-    vac_err = float(np.max(np.abs(vac.h / h0 - np.exp(-1.0))))
+    """Vacuum, geodesics and isometry, each through the code that computes it. On P8 the
+    solver's source-free fixed point is h0 / e; under fisher_rao_diag the log-linear path from
+    it to the eigenvalue-weight fixed point h1 has length ||ln h1 - ln h0|| / sqrt 2, and a
+    bent one is longer. On trunk:4,3,3 (eigenvalue 1 five-fold) ||K1 - K2||_F = ||h1 - h2||."""
+    p8 = graph.build_path(8)
+    vac = solve_graph(p8, mu2=0.0)[2].h_star
+    vac_err = float(np.max(np.abs(vac.h / vac.h0 - np.exp(-1.0))))
 
-    a = np.zeros(basis.n)
-    b = -basis.lambdas
-    path = [field.geodesic(a, b, t) for t in (0.0, 1.0, 2.0, 3.0)]
-    ratios = np.array([path[i + 1] / path[i] for i in range(3)])
-    ratio_dev = float(np.max(np.abs(ratios - ratios[0])))
-    rate_err = float(np.max(np.abs(ratios[0] - np.exp(b))))
+    h1 = solve_graph(p8, weight_rule=WeightRule.EIGENVALUE)[2].h_star.h
+    t = np.linspace(0.0, 1.0, 2001)[:, None]  # 2000 steps
+    b = np.log(h1) - np.log(vac.h)
+    line = np.log(vac.h) + t * b
+    length = _fisher_rao_length(line)
+    closed_form = float(np.linalg.norm(b) / np.sqrt(2.0))
+    length_err = abs(length - closed_form) / closed_form
+    bent = _fisher_rao_length(line + 0.5 * np.sin(np.pi * t))
 
-    passed = vac_err < 1e-6 and ratio_dev <= 1e-12 and rate_err <= 1e-12
+    trunk = eig_symmetric(graph.laplacian(graph.parse_graph_spec(SWEEP_TARGETS["trunk"][0])))
+    k1, k2 = (heat_kernel_weights(trunk, tau) for tau in (1.0, 2.0))
+    frob = np.linalg.norm(materialize_kernel(trunk, k1) - materialize_kernel(trunk, k2))
+    iso_err = abs(float(frob) - float(np.linalg.norm(k1.h - k2.h)))
+
+    passed = vac_err <= 1e-12 and length_err <= 1e-6 and bent > length and iso_err <= 1e-12
     return _result("exp3", passed,
-                   {"vacuum_ratio_error": vac_err, "geodesic_ratio_deviation": ratio_dev,
-                    "geodesic_rate_error": rate_err},
-                   out_dir, ["mode", "t0", "t1", "t2"],
-                   [[l, float(path[0][l]), float(path[1][l]), float(path[2][l])]
-                    for l in range(basis.n)])
+                   {"vacuum_ratio_error": vac_err, "geodesic_length": length,
+                    "geodesic_length_closed_form": closed_form,
+                    "geodesic_length_error": length_err, "bent_path_length": bent,
+                    "isometry_error": iso_err},
+                   out_dir, ["mode", "vacuum", "h_star"],
+                   [[l, float(vac.h[l]), float(h1[l])] for l in range(p8.n)])
 
 
 def run_exp4(out_dir: str | None = None) -> ExperimentResult:
@@ -226,7 +247,7 @@ EXP7_TOPOLOGIES = {name: SWEEP_TARGETS[name] for name in ("river", "trunk")}
 
 
 def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
-                coupled: bool = False, eta: float = 0.05) -> list[SweepRecord]:
+                coupled: bool = False, eta: float = SWEEP_ETA) -> list[SweepRecord]:
     """Weaken edge (u, v) over eps_values and re-solve the field equation each time.
 
     Each row runs solve_graph with eigenvalue mode weights and, when coupled,
@@ -252,7 +273,7 @@ def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,
 
 
 def run_sweep(target: str = "path", eps_values=EPS_GRID, coupled: bool = False,
-              eta: float = 0.05, out_dir: str | None = None,
+              eta: float = SWEEP_ETA, out_dir: str | None = None,
               prefix: str = "sweep") -> list[SweepRecord]:
     """Edge-weakening sweep on a builtin target's graph spec, optionally written to out_dir.
 

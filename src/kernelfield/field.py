@@ -1,10 +1,10 @@
-"""The kernel field equation: sources, the geometric response, fixed points,
-vacuum solutions, and log-linear geodesics.
+"""The kernel field equation: sources, the geometric response and fixed points.
 
 A self-consistent kernel solves R[h] = T[h] per mode, equivalently the
 fixed point h_l = h0_l * exp(-1 - T_l[h]). The geometric response is
 diagonal in the eigenbasis; any inter-mode structure enters through the
-source's coupling term.
+source's coupling term. With mu2 = 0 the fixed point is the vacuum h0 / e
+(experiments.run_exp3 checks it through solve_fixed_point).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .spectral import EigenBasis, SpectralKernel, check_positive
 
 _EXP_GUARD = 700.0  # exp argument beyond this over/underflows binary64
@@ -214,18 +214,3 @@ def solve_fixed_point(
         converged=residual < tol,
     )
 
-
-def vacuum_solution(h0: np.ndarray) -> SpectralKernel:
-    """Source-free fixed point: the reference rescaled uniformly by 1/e."""
-    h0 = np.asarray(h0, dtype=float)
-    check_positive(h0)
-    return SpectralKernel(h0 * np.exp(-1.0), h0)
-
-
-def geodesic(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Log-linear geodesic h_l(t) = exp(a_l + b_l * t)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatchError("geodesic coefficients must have the same shape")
-    return np.exp(a + b * t)

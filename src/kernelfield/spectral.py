@@ -250,13 +250,6 @@ def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
     return (phi * kernel.h) @ phi.T
 
 
-def hs_distance(basis: EigenBasis, k1: SpectralKernel, k2: SpectralKernel) -> float:
-    """Hilbert-Schmidt distance; equals the Euclidean distance of the weight vectors."""
-    if len(k1.h) != basis.n or len(k2.h) != basis.n:
-        raise DimensionMismatchError("kernel length does not match basis size")
-    return float(np.sqrt(np.sum((k1.h - k2.h) ** 2)))
-
-
 def heat_kernel_weights(basis: EigenBasis, tau: float) -> SpectralKernel:
     """Heat-kernel transfer function h_l = exp(-lambda_l * tau), reference all-ones."""
     if not tau > 0:

@@ -20,7 +20,6 @@ from kernelfield import (
     eig_symmetric,
     fisher_rao_diag,
     heat_kernel_weights,
-    hs_distance,
     laplacian,
     materialize_kernel,
     residual_inf,
@@ -28,11 +27,10 @@ from kernelfield import (
     source_T,
     source_jacobian,
     spectral_entropy,
-    vacuum_solution,
     weaken_edge,
 )
 from kernelfield import experiments as ex
-from kernelfield.field import geodesic, geometric_R
+from kernelfield.field import geometric_R
 from kernelfield.graph import parse_graph_spec
 
 
@@ -79,13 +77,19 @@ def test_criterion_2_fixed_point():
 
 
 def test_criterion_3_vacuum_and_geodesics():
-    basis = eig_symmetric(laplacian(build_path(8)))
-    h0 = np.ones(8)
-    vac = vacuum_solution(h0)
-    vacuum_ok = np.max(np.abs(vac.h / h0 - np.exp(-1.0))) <= 1e-6
-    a, b = np.zeros(8), -basis.lambdas
-    ratios = [geodesic(a, b, t + 1) / geodesic(a, b, t) for t in (0.0, 1.0, 2.0)]
-    geo_ok = max(np.max(np.abs(r - ratios[0])) for r in ratios) <= 1e-12
+    """The solver's vacuum is h0 / e, and the log-linear path h(t) = exp(a + b t)
+    from it to the eigenvalue-weight fixed point has Fisher-Rao length ||b|| / sqrt 2:
+    Simpson's rule on the speed sqrt(sum_l I_ll (h_l b_l)^2), with I = fisher_rao_diag."""
+    vac = ex.solve_graph(build_path(8), mu2=0.0)[2].h_star
+    vacuum_ok = np.max(np.abs(vac.h / vac.h0 - np.exp(-1.0))) <= 1e-12
+    h1 = ex.solve_graph(build_path(8), weight_rule=WeightRule.EIGENVALUE)[2].h_star.h
+    a, b = np.log(vac.h), np.log(h1) - np.log(vac.h)
+    ts = np.linspace(0.0, 1.0, 201)
+    path = lambda t: np.exp(a + b * t)
+    speed = [np.sqrt(np.sum(fisher_rao_diag(path(t)) * (path(t) * b) ** 2)) for t in ts]
+    length = (ts[1] - ts[0]) / 3 * (speed[0] + speed[-1] + 4 * sum(speed[1:-1:2])
+                                    + 2 * sum(speed[2:-1:2]))
+    geo_ok = abs(length - np.linalg.norm(b) / np.sqrt(2)) <= 1e-12 * length
     assert _report("3 (vacuum + geodesics)", vacuum_ok and geo_ok)
 
 
@@ -180,7 +184,7 @@ def test_criterion_9_property_suites(tmp_path):
         k1 = SpectralKernel(rng.uniform(0.05, 5.0, size=8), np.ones(8))
         k2 = SpectralKernel(rng.uniform(0.05, 5.0, size=8), np.ones(8))
         frob = np.linalg.norm(materialize_kernel(basis, k1) - materialize_kernel(basis, k2), "fro")
-        isometry_ok &= abs(hs_distance(basis, k1, k2) - frob) <= 1e-9
+        isometry_ok &= abs(np.linalg.norm(k1.h - k2.h) - frob) <= 1e-9
 
     fisher_ok = entropy_ok = True
     for _ in range(50):

@@ -399,8 +399,9 @@ def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):
     assert "connected=False" in captured.out and captured.err == ""
 
 
+# reproduce all: exp6b's 5 coupled rows, exp7's 10, and exp3's isometry on trunk.
 @pytest.mark.parametrize("argv, calls", [
-    (["reproduce", "all", "--out", "{out}"], 15),
+    (["reproduce", "all", "--out", "{out}"], 16),
     (["sweep", "--out", "{out}"], 0),
     (["sweep", "--coupled", "--out", "{out}"], 5),
     (["solve", "--graph", "path:8", "--out", "{out}"], 0),
@@ -663,8 +664,11 @@ def test_every_json_artifact_is_strict_json(tmp_path, capsys):
     ([], {"eta": 0.3}, "--eta needs --coupled"),
     (["--coupled", "--eta", "0"], {}, "eta must be positive for a coupled sweep"),
     ([], {"coupled": True, "eta": 0}, "eta must be positive for a coupled sweep"),
-], ids=["flag-uncoupled", "config-uncoupled", "flag-zero", "config-zero"])
-def test_sweep_eta_needs_a_coupled_sweep(tmp_path, capsys, argv, setting, message):
+    (["--eps-values", "1,,0.5"], {}, "eps_values must be comma-separated numbers, got '1,,0.5'"),
+    ([], {"eps_values": "1,x"}, "eps_values must be comma-separated numbers, got '1,x'"),
+], ids=["flag-uncoupled", "config-uncoupled", "flag-zero", "config-zero", "flag-eps-empty-entry",
+        "config-eps-word-entry"])
+def test_sweep_setting_error_names_the_setting(tmp_path, capsys, argv, setting, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"out": str(tmp_path / "out"), **setting}))
     assert main(["sweep", "--config", str(cfg), *argv]) == 1

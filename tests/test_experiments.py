@@ -27,9 +27,25 @@ def test_exp2_fixed_point():
 
 def test_exp3_vacuum_and_geodesics():
     res = ex.run_exp3()
+    m = res.metrics
     assert res.passed
-    assert res.metrics["vacuum_ratio_error"] < 1e-6
-    assert res.metrics["geodesic_ratio_deviation"] <= 1e-12
+    assert m["vacuum_ratio_error"] == 0.0
+    assert abs(m["geodesic_length"] - m["geodesic_length_closed_form"]) <= 1e-6 * m["geodesic_length"]
+    assert m["geodesic_length_error"] <= 1e-6
+    assert m["bent_path_length"] > m["geodesic_length"]
+    assert m["isometry_error"] <= 1e-12
+
+
+# Each mutant maps the original function to its broken twin.
+@pytest.mark.parametrize("module, name, mutant", [
+    (ex, "fisher_rao_diag", lambda fisher_rao_diag: lambda h: 1.0 / (2.0 * h)),
+    (ex.field, "source_T", lambda source_T: lambda *args: source_T(*args) + 1.0),
+], ids=["fisher-rao-1-over-2h", "source-T-plus-1"])
+def test_exp3_fails_under_a_mutant(monkeypatch, module, name, mutant):
+    """exp3 runs the metric and the solver it checks: a wrong metric moves the
+    geodesic length off ||b|| / sqrt 2, and a source T + 1 moves the vacuum to h0 / e^2."""
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    assert not ex.run_exp3().passed
 
 
 def test_exp4_stability():

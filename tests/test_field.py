@@ -16,7 +16,6 @@ from kernelfield import (
     build_coupling,
     build_path,
     eig_symmetric,
-    geodesic,
     geometric_R,
     heat_kernel_weights,
     laplacian,
@@ -24,7 +23,6 @@ from kernelfield import (
     solve_fixed_point,
     source_T,
     source_jacobian,
-    vacuum_solution,
     weaken_edge,
 )
 from kernelfield.diagnostics import fisher_rao_diag
@@ -174,7 +172,7 @@ def test_fixed_point_zero_source_is_vacuum(p8):
     spec = SourceSpec(mu2=0.0)
     report = solve_fixed_point(spec, basis, np.ones(8))
     assert report.converged
-    assert np.array_equal(report.h_star.h, vacuum_solution(np.ones(8)).h)
+    assert np.array_equal(report.h_star.h, np.exp(-1.0) * np.ones(8))
     # the map is constant (J = 0), so its rate is exactly 0
     assert report.contraction_ratio == 0.0
 
@@ -288,39 +286,15 @@ def test_residual_monotone_over_tau(p8):
         f"strict increase fails: {res}")
 
 
-def test_vacuum_solution():
-    h0 = np.ones(8)
-    vac = vacuum_solution(h0)
-    assert np.allclose(vac.h, 0.36788, atol=1e-5)
+def test_vacuum_solution(p8):
+    """With no source the solver's fixed point is h0 / e, for any reference h0."""
+    basis, _ = p8
+    h0 = np.linspace(0.5, 4.0, 8)
+    vac = solve_fixed_point(SourceSpec(mu2=0.0), basis, h0).h_star
+    assert np.allclose(vac.h, np.exp(-1.0) * h0, rtol=1e-15, atol=0)
     assert np.allclose(geometric_R(vac), 0.0, atol=1e-15)
-    twice = vacuum_solution(vac.h)
+    twice = solve_fixed_point(SourceSpec(mu2=0.0), basis, vac.h).h_star
     assert np.allclose(twice.h, h0 * np.exp(-2.0))
-
-
-def test_geodesic_properties(p8):
-    basis, _ = p8
-    a = np.zeros(8)
-    b = -basis.lambdas
-    assert np.allclose(geodesic(a, b, 0.0), 1.0)
-    # constant path
-    assert np.array_equal(geodesic(a, np.zeros(8), 1.0), geodesic(a, np.zeros(8), 5.0))
-    # successive-ratio constancy
-    r01 = geodesic(a, b, 1.0) / geodesic(a, b, 0.0)
-    r12 = geodesic(a, b, 2.0) / geodesic(a, b, 1.0)
-    assert np.max(np.abs(r01 - r12)) <= 1e-12
-    # rate-to-value correspondence at unit time
-    assert np.max(np.abs(r01 - np.exp(b))) <= 1e-12
-
-
-def test_geodesics_compose(p8):
-    basis, _ = p8
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    for s, t in ((0.3, 1.1), (1.0, 2.0), (0.0, 0.7)):
-        direct = geodesic(a, b, s + t)
-        restarted = geodesic(np.log(geodesic(a, b, s)), b, t)
-        assert np.max(np.abs(direct - restarted)) <= 1e-12
 
 
 def _fisher_rao_length(path, n_steps=2000):
@@ -341,12 +315,12 @@ def test_geodesic_length_under_fisher_rao():
     rng = np.random.default_rng(11)
     a = rng.normal(size=8)
     b = rng.normal(size=8)
-    straight = _fisher_rao_length(lambda t: geodesic(a, b, t))
+    straight = _fisher_rao_length(lambda t: np.exp(a + b * t))
     assert abs(straight - np.linalg.norm(b) / np.sqrt(2)) <= 1e-8 * straight
     for _ in range(5):
         c = 0.3 * rng.normal(size=8)
         k = rng.integers(1, 4)
-        bent = _fisher_rao_length(lambda t: geodesic(a + c * np.sin(k * np.pi * t), b, t))
+        bent = _fisher_rao_length(lambda t: np.exp(a + c * np.sin(k * np.pi * t) + b * t))
         assert bent > straight
 
 

@@ -5,6 +5,11 @@
 2. Only experiments.write_artifacts writes to the file system (os.replace,
    os.makedirs, os.remove and their kin, or open in a write mode), so every
    artifact is written atomically in one place.
+3. Every public top-level function or class of a module (outside
+   __init__.py) is used by name in the package's code, outside its own
+   definition, or in bench/: what no caller needs is deleted. A use is a
+   name, an attribute or, for the benchmark's tracer, which patches by name,
+   a string.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import kernelfield
 
 SRC = pathlib.Path(kernelfield.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+BENCH = {path.stem: ast.parse(path.read_text(), str(path))
+         for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
 
 _OS_WRITES = {"replace", "rename", "makedirs", "mkdir", "remove", "unlink", "rmdir"}
 
@@ -58,6 +65,43 @@ def _writers(name: str, tree: ast.Module) -> set[str]:
     return found
 
 
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names, attributes and string constants used in tree, outside node skip."""
+    found = set()
+
+    def visit(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _unused(modules: dict[str, ast.Module], outside: dict[str, ast.Module]) -> list[str]:
+    """The public top-level functions and classes of modules but __init__, as "module.name",
+    that neither the outside code, nor another such module, nor their own module outside
+    their definition uses."""
+    code = {name: tree for name, tree in modules.items() if name != "__init__"}
+    uses = {name: _uses(tree) for name, tree in code.items()}
+    used_outside = set().union(*map(_uses, outside.values()))
+    found = []
+    for name, tree in code.items():
+        elsewhere = used_outside.union(*(u for m, u in uses.items() if m != name))
+        found += [f"{name}.{node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in elsewhere
+                  and node.name not in _uses(tree, skip=node)]
+    return found
+
+
 def test_no_module_imports_a_private_name():
     found = {name: _imports_private(tree) for name, tree in MODULES.items()}
     assert {name: names for name, names in found.items() if names} == {}
@@ -68,9 +112,23 @@ def test_only_write_artifacts_writes_files():
     assert writers == {"experiments.write_artifacts"}
 
 
+def test_every_public_function_and_class_has_a_user():
+    assert _unused(MODULES, BENCH) == []
+
+
 def test_the_rules_see_what_they_forbid():
     tree = ast.parse("from .experiments import _write_atomic\n"
                      "def save(p):\n    with open(p, 'w') as fh:\n        os.makedirs(p)\n"
                      "def load(p):\n    return open(p).read(), open(p, mode='rb')\n")
     assert _imports_private(tree) == ["experiments._write_atomic"]
     assert _writers("m", tree) == {"m.save"}
+    # recurse only calls itself, and __init__'s export of orphan is not a use.
+    modules = {"m": ast.parse("def recurse(n):\n    return recurse(n - 1)\n"
+                              "def orphan():\n    pass\n"
+                              "def called():\n    pass\n"
+                              "class Traced:\n    pass\n"
+                              "def _private():\n    pass\n"),
+               "n": ast.parse("from .m import called\ncalled()\n"),
+               "__init__": ast.parse("from .m import orphan\n__all__ = ['orphan']\n")}
+    bench = {"tracer": ast.parse("TRACED = {'m': ('Traced',)}\n")}
+    assert _unused(modules, bench) == ["m.recurse", "m.orphan"]

@@ -16,7 +16,6 @@ from kernelfield import (
     diagnostics_record,
     eig_symmetric,
     heat_kernel_weights,
-    hs_distance,
     laplacian,
     materialize_kernel,
     solve_fixed_point,
@@ -228,23 +227,19 @@ def test_heat_kernel_log_linear(p8_basis):
     assert np.max(np.abs(h1 * h2 - h12)) <= 1e-12
 
 
-def test_hs_distance_trivial(p8_basis):
-    k1 = SpectralKernel(np.ones(8), np.ones(8))
-    k2 = SpectralKernel(2 * np.ones(8), np.ones(8))
-    assert hs_distance(p8_basis, k1, k1) == 0.0
-    assert abs(hs_distance(p8_basis, k1, k2) - np.sqrt(8)) <= 1e-12
-
-
-def test_isometry_batch(p8_basis):
-    # spectral distance must equal Frobenius distance of materialized kernels
+@pytest.mark.parametrize("target", list(SWEEP_TARGETS))
+def test_isometry_batch(target):
+    """Proposition "isometry": the Euclidean distance of the weights is the Frobenius
+    distance of the materialized kernels, also where an eigenvalue repeats (trunk)."""
+    basis = eig_symmetric(_sweep_laplacian(target, 1.0))
     rng = np.random.default_rng(7)
     for _ in range(100):
-        h1 = rng.uniform(0.05, 5.0, size=8)
-        h2 = rng.uniform(0.05, 5.0, size=8)
-        k1 = SpectralKernel(h1, np.ones(8))
-        k2 = SpectralKernel(h2, np.ones(8))
-        frob = np.linalg.norm(materialize_kernel(p8_basis, k1) - materialize_kernel(p8_basis, k2), "fro")
-        assert abs(hs_distance(p8_basis, k1, k2) - frob) <= 1e-9
+        h1 = rng.uniform(0.05, 5.0, size=basis.n)
+        h2 = rng.uniform(0.05, 5.0, size=basis.n)
+        k1 = SpectralKernel(h1, np.ones(basis.n))
+        k2 = SpectralKernel(h2, np.ones(basis.n))
+        frob = np.linalg.norm(materialize_kernel(basis, k1) - materialize_kernel(basis, k2), "fro")
+        assert abs(np.linalg.norm(h1 - h2) - frob) <= 1e-9
 
 
 def test_dimension_mismatch(p8_basis):

@@ -25,7 +25,6 @@ from kernelfield import (
     source_T,
     source_jacobian,
     stability_report,
-    vacuum_solution,
     weaken_edge,
 )
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
@@ -36,6 +35,10 @@ from kernelfield.spectral import _jacobi
 @pytest.fixture(scope="module")
 def p8():
     return eig_symmetric(laplacian(build_path(8)))
+
+
+# The source-free fixed point on P8 from h0 = 1.
+VACUUM = SpectralKernel(np.exp(-1.0) * np.ones(8), np.ones(8))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ def test_hessian_at_uniform_fixed_point(p8, exp2_state):
 
 def test_vacuum_hessian(p8):
     spec = SourceSpec(mu2=0.0)
-    hess = hessian(spec, p8, vacuum_solution(np.ones(8)))
+    hess = hessian(spec, p8, VACUUM)
     assert np.allclose(hess, -np.e * np.eye(8), atol=1e-12)
 
 
@@ -71,7 +74,7 @@ def test_coupled_hessian_offdiagonal(p8):
 def test_margins(p8, exp2_state):
     spec, kernel = exp2_state
     assert np.allclose(stability_report(spec, p8, kernel).margins, 5.71, atol=0.01)
-    vac_margin = stability_report(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8))).margins
+    vac_margin = stability_report(SourceSpec(mu2=0.0), p8, VACUUM).margins
     assert np.allclose(vac_margin, np.e, atol=1e-12)
 
 
@@ -86,7 +89,7 @@ def test_hessian_gap_values(p8, exp2_state):
     rep = stability_report(spec, p8, kernel)
     assert abs(rep.hessian_gap - 5.71) <= 0.01
     assert abs(rep.fiedler_gap - 5.71) <= 0.01
-    vac = stability_report(SourceSpec(mu2=0.0), p8, vacuum_solution(np.ones(8)))
+    vac = stability_report(SourceSpec(mu2=0.0), p8, VACUUM)
     assert abs(vac.hessian_gap - np.e) <= 1e-10
     assert abs(vac.fiedler_gap - np.e) <= 1e-12
 
