@@ -9,6 +9,11 @@ Laplacian and spectrum; --out is created only once both texts are built).
 Exit codes are the machine contract: 0 success, 1 input error
 (usage errors included), 2 numerical non-convergence. experiments.write_artifacts
 writes every file, atomically (temp file + rename).
+
+Each setting of solve and sweep is one row of _SETTINGS: its flag, the JSON
+type of its --config field and its conversion. The whole config is checked
+before the given flags override it, and solve and sweep pass on only the
+settings that were given, so solve_graph and run_sweep keep their defaults.
 """
 
 from __future__ import annotations
@@ -16,73 +21,91 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import experiments, graph as graphmod
 from .diagnostics import diagnostics_record
 from .errors import KernelFieldError, NumericalError
-from .experiments import EPS_GRID, RUNNERS, SWEEP_ETA, write_artifacts
+from .experiments import RUNNERS, write_artifacts
 from .field import WeightRule
 from .graph import is_json_number
 from .spectral import eig_symmetric, eigenbasis_to_csv
 
 
-def _load_config(args) -> dict:
-    """The --config JSON object, whose fields must be dests of the command's flags."""
-    if args.config is None:
-        return {}
+class _Setting(NamedTuple):
+    commands: tuple[str, ...]  # the subcommands that take it
+    what: str                  # the JSON type its config field must have, and its test
+    ok: Callable
+    flag: dict                 # the argparse keywords of its flag --<key with - for _>
+    convert: Callable          # from the flag's or the field's value to the one passed on
+
+
+def _eps_list(eps_values) -> list[float]:
     try:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise KernelFieldError(f"cannot read config {args.config!r}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise KernelFieldError("config must be a JSON object")
-    taken = sorted(set(vars(args)) - {"config", "command", "func"})
-    unknown = [key for key in obj if key not in taken]
-    if unknown:
-        raise KernelFieldError(f"unknown config field(s) {', '.join(map(repr, unknown))} for "
-                               f"{args.command}, which takes {', '.join(taken)}")
-    return obj
+        return [float(x) for x in (eps_values.split(",") if isinstance(eps_values, str)
+                                   else eps_values)]
+    except ValueError:
+        raise KernelFieldError(f"eps_values must be comma-separated numbers, "
+                               f"got {eps_values!r}") from None
 
 
-# The JSON type a config field must have, as (description, test). Flag
-# values are typed by argparse instead.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("sigma2", "mu2", "eta", "tol"), ("a number", is_json_number)),
-    "max_iter": ("an integer", lambda x: type(x) is int),
-    **dict.fromkeys(("graph", "out", "weights"), ("a string", lambda x: type(x) is str)),
-    "coupled": ("true or false", lambda x: type(x) is bool),
-    "eps_values": ("a comma-separated string or a non-empty list of numbers",
-                   lambda x: type(x) is str or (type(x) is list and x and all(map(is_json_number, x)))),
+_NUMBER = ("a number", is_json_number, {"type": float}, float)
+_STRING = ("a string", lambda x: type(x) is str, {}, str)
+_WEIGHTS = [rule.value for rule in WeightRule]
+
+# Every setting of solve and sweep, in the order of their flags.
+_SETTINGS = {
+    "graph": _Setting(("solve", "sweep"), *_STRING),
+    "sigma2": _Setting(("solve",), *_NUMBER),
+    "mu2": _Setting(("solve",), *_NUMBER),
+    "weights": _Setting(("solve",), f"one of {', '.join(_WEIGHTS)}", lambda x: x in _WEIGHTS,
+                        {"choices": _WEIGHTS}, WeightRule),
+    "eps_values": _Setting(
+        ("sweep",), "a comma-separated string or a non-empty list of numbers",
+        lambda x: type(x) is str or (type(x) is list and x and all(map(is_json_number, x))),
+        {}, _eps_list),
+    "coupled": _Setting(("sweep",), "true or false", lambda x: type(x) is bool,
+                        {"action": "store_true", "default": None}, bool),
+    "eta": _Setting(("solve", "sweep"), *_NUMBER),
+    "tol": _Setting(("solve",), *_NUMBER),
+    "max_iter": _Setting(("solve",), "an integer", lambda x: type(x) is int, {"type": int}, int),
+    "out": _Setting(("solve", "sweep"), *_STRING),
 }
 
 
-def _setting(args, config: dict, key: str, default):
-    """CLI flag wins over config field (of the key's JSON type) wins over default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key not in config:
-        return default
-    what, ok = _CONFIG_TYPES[key]
-    if not ok(config[key]):
-        raise KernelFieldError(f"config {key} must be {what}, got {config[key]!r}")
-    return config[key]
+def _settings(args) -> dict:
+    """The settings that --config or a flag gives, converted; a given flag wins.
 
-
-# solve's settings as (config key, solve_graph parameter, conversion).
-_SOLVE_SETTINGS = (("eta", "eta", float), ("sigma2", "sigma2", float), ("mu2", "mu2", float),
-                   ("weights", "weight_rule", WeightRule), ("tol", "tol", float),
-                   ("max_iter", "max_iter", int))
+    The whole config is checked first: each field must be a setting of the
+    command, of that setting's JSON type.
+    """
+    rows = {key: row for key, row in _SETTINGS.items() if args.command in row.commands}
+    config = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise KernelFieldError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise KernelFieldError("config must be a JSON object")
+        unknown = [key for key in config if key not in rows]
+        if unknown:
+            raise KernelFieldError(f"unknown config field(s) {', '.join(map(repr, unknown))} for "
+                                   f"{args.command}, which takes {', '.join(sorted(rows))}")
+        for key, val in config.items():
+            if not rows[key].ok(val):
+                raise KernelFieldError(f"config {key} must be {rows[key].what}, got {val!r}")
+    flags = {key: val for key in rows if (val := getattr(args, key)) is not None}
+    return {key: rows[key].convert(val) for key, val in {**config, **flags}.items()}
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args)
-    g = graphmod.parse_graph_spec(_setting(args, config, "graph", "path:8"))
-    # Only the settings a flag or the config gives; solve_graph holds the defaults.
-    params = {name: kind(val) for key, name, kind in _SOLVE_SETTINGS
-              if (val := _setting(args, config, key, None)) is not None}
-    out = _setting(args, config, "out", ".")
+    # Only the settings that were given; solve_graph holds the other defaults.
+    params = {"weight_rule" if key == "weights" else key: val
+              for key, val in _settings(args).items()}
+    g = graphmod.parse_graph_spec(params.pop("graph", "path:8"))
+    out = params.pop("out", ".")
     basis, _, report, srep = experiments.solve_graph(g, **params)
     # Stability and diagnostics describe a fixed point, so only a converged
     # solve writes them; otherwise the last iterate is reported alone, and an
@@ -114,25 +137,14 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    target = _setting(args, config, "graph", "path")
-    eps_values = _setting(args, config, "eps_values", EPS_GRID)
-    coupled = _setting(args, config, "coupled", False)
-    eta = _setting(args, config, "eta", None)
-    if eta is not None and not coupled:
+    # Only the settings that were given; run_sweep holds the other defaults.
+    params = _settings(args)
+    target, out = params.pop("graph", "path"), params.pop("out", ".")
+    if "eta" in params and not params.get("coupled"):
         raise KernelFieldError("--eta needs --coupled: eta is the mode-coupling strength")
-    if eta is not None and not eta > 0:
-        raise KernelFieldError(f"eta must be positive for a coupled sweep, got {eta!r}")
-    try:
-        eps = [float(x) for x in (eps_values.split(",") if isinstance(eps_values, str)
-                                  else eps_values)]
-    except ValueError:
-        raise KernelFieldError(f"eps_values must be comma-separated numbers, "
-                               f"got {eps_values!r}") from None
-    records = experiments.run_sweep(
-        target, eps, coupled=coupled,
-        eta=SWEEP_ETA if eta is None else float(eta),
-        out_dir=_setting(args, config, "out", "."), prefix=f"sweep_{target}")
+    if "eta" in params and not params["eta"] > 0:
+        raise KernelFieldError(f"eta must be positive for a coupled sweep, got {params['eta']!r}")
+    records = experiments.run_sweep(target, **params, out_dir=out, prefix=f"sweep_{target}")
     for r in records:
         flag = "" if r.converged else "  [not converged]"
         print(f"eps={r.eps:.6g} lambda1={r.lambda1:.6g} entropy={r.entropy:.6g} "
@@ -160,40 +172,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="kernelfield", description=__doc__ + "\n" + graphmod.SPEC_GRAMMAR,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    # The docstring's last paragraph is for readers of this module, not for --help.
+    parser = _Parser(prog="kernelfield", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     description=__doc__.rsplit("\n\n", 1)[0] + "\n\n" + graphmod.SPEC_GRAMMAR)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve the field equation on one graph")
-    p_solve.add_argument("--config")
-    p_solve.add_argument("--graph")
-    p_solve.add_argument("--sigma2", type=float)
-    p_solve.add_argument("--mu2", type=float)
-    p_solve.add_argument("--weights", choices=["uniform", "eigenvalue"])
-    p_solve.add_argument("--eta", type=float)
-    p_solve.add_argument("--tol", type=float)
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int)
-    p_solve.add_argument("--out")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_rep = sub.add_parser("reproduce", help="run experiment reproductions")
-    p_rep.add_argument("experiment", choices=[*RUNNERS, "all"])
-    p_rep.add_argument("--out")
-    p_rep.set_defaults(func=cmd_reproduce)
-
-    p_sweep = sub.add_parser("sweep", help="edge-weakening diagnostic sweep")
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--graph")
-    p_sweep.add_argument("--eps-values", dest="eps_values")
-    p_sweep.add_argument("--coupled", action="store_true", default=None)
-    p_sweep.add_argument("--eta", type=float)
-    p_sweep.add_argument("--out")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_graph = sub.add_parser("graph", help="dump a graph and its spectrum")
-    p_graph.add_argument("graph")
-    p_graph.add_argument("--out")
-    p_graph.set_defaults(func=cmd_graph)
+    for name, func, text in (("solve", cmd_solve, "solve the field equation on one graph"),
+                             ("reproduce", cmd_reproduce, "run experiment reproductions"),
+                             ("sweep", cmd_sweep, "edge-weakening diagnostic sweep"),
+                             ("graph", cmd_graph, "dump a graph and its spectrum")):
+        sub.add_parser(name, help=text).set_defaults(func=func)
+    commands = sub.choices
+    commands["reproduce"].add_argument("experiment", choices=[*RUNNERS, "all"])
+    commands["graph"].add_argument("graph")
+    for name in ("solve", "sweep"):
+        commands[name].add_argument("--config")
+    for key, row in _SETTINGS.items():
+        for name in row.commands:
+            commands[name].add_argument("--" + key.replace("_", "-"), **row.flag)
+    for name in ("reproduce", "graph"):
+        commands[name].add_argument("--out")
     return parser
 
 

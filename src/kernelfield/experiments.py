@@ -242,8 +242,8 @@ SWEEP_TARGETS = {
     "trunk": ("trunk:4,3,3", (1, 2)),
 }
 
-# Exp. 7 synthetic topologies.
-EXP7_TOPOLOGIES = {name: SWEEP_TARGETS[name] for name in ("river", "trunk")}
+# The SWEEP_TARGETS that exp7 sweeps: its synthetic topologies.
+EXP7_TOPOLOGIES = ("river", "trunk")
 
 
 def sweep_graph(base: graph.Graph, u: int, v: int, eps_values,

@@ -164,7 +164,8 @@ def test_criterion_7_coupled_sweep():
 
 def test_criterion_8_cross_topology():
     ok = True
-    for spec, edge in ex.EXP7_TOPOLOGIES.values():
+    for name in ex.EXP7_TOPOLOGIES:
+        spec, edge = ex.SWEEP_TARGETS[name]
         records = ex.sweep_graph(parse_graph_spec(spec), *edge, ex.EPS_GRID)
         lam = [r.lambda1 for r in records]
         ent = [r.entropy for r in records]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kernelfield
 from kernelfield import experiments, spectral
-from kernelfield.cli import _CONFIG_TYPES, main
+from kernelfield.cli import _SETTINGS, _settings, build_parser, main
 from kernelfield.errors import KernelFieldError
 from kernelfield.graph import (build_path, build_river_channel, build_trunk_roots,
                               parse_graph_spec, weaken_edge)
@@ -519,15 +519,60 @@ def test_config_field_the_command_does_not_take_exit_1(tmp_path, capsys, command
     {"tol": None},
     {"graph": 8},
     {"weights": 1},
+    {"weights": "bogus"},
     {"out": 5},
 ], ids=["max-iter-float", "max-iter-bool", "sigma2-string", "mu2-bool", "eta-string", "tol-null",
-        "graph-number", "weights-number", "out-number"])
+        "graph-number", "weights-number", "weights-not-a-rule", "out-number"])
 def test_solve_config_type_error_exit_1(tmp_path, capsys, monkeypatch, setting):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": "path:8", "out": "out", **setting}))
     assert main(["solve", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config {next(iter(setting))} must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_solve_config_weights_names_its_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": "bogus", "out": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config weights must be one of uniform, eigenvalue, got 'bogus'\n")
+    assert not (tmp_path / "out").exists()
+
+
+# For each setting, a config field and a flag value that gives another setting.
+_OVERRIDES = {"graph": ("river", ["trunk"]), "sigma2": (2.0, ["0.5"]), "mu2": (2.0, ["0"]),
+              "weights": ("uniform", ["eigenvalue"]), "eps_values": ([1, 0.5], ["0.3"]),
+              "coupled": (False, []), "eta": (0.1, ["0.2"]), "tol": (1e-10, ["1e-11"]),
+              "max_iter": (100, ["50"]), "out": ("a", ["b"])}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for key, row in _SETTINGS.items()
+                                          for command in row.commands])
+def test_a_given_flag_overrides_its_config_field(tmp_path, command, key):
+    field, value = _OVERRIDES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: field}))
+    flag = ["--" + key.replace("_", "-"), *value]
+    given = _settings(build_parser().parse_args([command, "--config", str(cfg), *flag]))
+    assert given == _settings(build_parser().parse_args([command, *flag]))
+    assert given[key] != _settings(build_parser().parse_args([command, "--config", str(cfg)]))[key]
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"sigma2": "x"}, "sigma2"),
+    ({"out": 5, "sigma2": "x"}, "out"),
+    ({"sigma2": "x", "out": 5}, "sigma2"),
+], ids=["overridden", "out-first", "sigma2-first"])
+def test_the_whole_config_is_checked_before_flags_override_it(tmp_path, capsys, monkeypatch,
+                                                              config, named):
+    """A bad field fails even when its flag is given; of several, the first in the file is named."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(cfg), "--sigma2", "1", "--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {named} must be ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -581,7 +626,7 @@ def test_solve_config_grammar(tmp_path_factory, spec, setting):
         code = main(["solve", "--config", str(cfg)])
     named = code == 1 and _config_error(err.getvalue(), key, _SOLVE_KEYS)
     assert code in (0, 1, 2)
-    assert named == (key not in _SOLVE_KEYS or not _CONFIG_TYPES[key][1](value))
+    assert named == (key not in _SOLVE_KEYS or not _SETTINGS[key].ok(value))
     if key not in _SOLVE_KEYS:
         assert not (root / "out").exists()
 
@@ -624,7 +669,7 @@ def test_sweep_config_grammar(tmp_path_factory, target, coupled, setting):
         code = main(["sweep", "--config", str(cfg)])
     named = code == 1 and _config_error(err.getvalue(), key, _SWEEP_KEYS)
     assert code in (0, 1, 2)
-    assert named == (key not in _SWEEP_KEYS or not _CONFIG_TYPES[key][1](value))
+    assert named == (key not in _SWEEP_KEYS or not _SETTINGS[key].ok(value))
     if key not in _SWEEP_KEYS:
         assert not (root / "out").exists()
 
