@@ -12,6 +12,8 @@ class InvalidGraphError(KernelFieldError, ValueError):
 class EdgeNotFoundError(KernelFieldError, KeyError):
     """Requested edge does not exist in the graph."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
+
 
 class InvalidMatrixError(KernelFieldError, ValueError):
     """Matrix violates a structural precondition (e.g. symmetry)."""

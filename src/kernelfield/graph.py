@@ -189,7 +189,8 @@ def from_json(text: str) -> Graph:
 
 def parse_graph_spec(spec: str) -> Graph:
     """Resolve a builtin graph spec (SPEC_GRAMMAR) or load a graph JSON file;
-    raises InvalidGraphError for a bad spec, an unreadable file or a bad graph."""
+    raises InvalidGraphError for a bad spec, an unreadable file or a bad graph.
+    A spec that does not fit its SPEC_GRAMMAR form is named with that form."""
     head, _, rest = spec.partition(":")
     try:
         if head == "path":
@@ -197,22 +198,23 @@ def parse_graph_spec(spec: str) -> Graph:
             g = build_path(int(n_str))
             if mod:
                 if not mod.startswith("weaken="):
-                    raise ValueError(f"unknown path modifier {mod!r}")
+                    raise ValueError(mod)
                 u, v, eps = mod[len("weaken="):].split(",")
                 g = weaken_edge(g, int(u), int(v), float(eps))
             return g
         if head == "river":
-            parts = [x for x in rest.split(",") if x]
+            parts = [int(x) for x in rest.split(",") if x]
             if len(parts) % 2 != 1:
-                raise ValueError("river spec needs stem,attach1,len1,...")
-            stem = int(parts[0])
-            tribs = [(int(a), int(b)) for a, b in zip(parts[1::2], parts[2::2])]
-            return build_river_channel(stem, tribs)
+                raise ValueError(rest)
+            return build_river_channel(parts[0], list(zip(parts[1::2], parts[2::2])))
         if head == "trunk":
             tl, rf, bf = (int(x) for x in rest.split(","))
             return build_trunk_roots(tl, rf, bf)
-    except (ValueError, EdgeNotFoundError) as exc:
+    except (InvalidGraphError, EdgeNotFoundError) as exc:
         raise InvalidGraphError(f"bad graph spec {spec!r}: {exc}") from exc
+    except ValueError as exc:
+        forms = (f for f in map(str.strip, SPEC_GRAMMAR.splitlines()) if f.startswith(head + ":"))
+        raise InvalidGraphError(f"bad graph spec {spec!r}: expected {' or '.join(forms)}") from exc
     try:
         with open(spec) as fh:
             return from_json(fh.read())

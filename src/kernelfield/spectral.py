@@ -1,7 +1,8 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
 Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh): the Laplacian
-spectrum here, the stability Hessian's in stability. eig_symmetric is the
+spectrum here, a coupled stability Hessian's in stability (an uncoupled
+one is diagonal: its spectrum is its sorted diagonal). eig_symmetric is the
 one basis constructor. It computes the eigenvalues at once and the
 eigenvector columns on the first read of EigenBasis.vectors, since the
 uncoupled field equation, its Hessian and the spectral entropy depend on

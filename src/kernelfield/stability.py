@@ -4,7 +4,10 @@ and the inter-mode coupling entropy.
 The Hessian H_lm = -delta_lm / h_l - J_lm can be asymmetric when the
 source couples modes through a non-symmetric C. The quadratic form only
 sees the symmetric part, so the definiteness verdict (and the gap Delta)
-are computed from the spectrum of (H + H^T) / 2, taken with LAPACK
+are computed from the spectrum of (H + H^T) / 2. With no coupling H is
+diagonal (the paper's Hessian corollary: stability is judged mode by
+mode), and that spectrum is its sorted diagonal, which is what LAPACK
+returns for a diagonal matrix, bit for bit. A coupled H takes LAPACK
 (numpy.linalg.eigvalsh) like the Laplacian spectrum, but without
 spectral's bottom-eigenvalue clamp, which is a Laplacian convention. The
 Fiedler-mode gap Delta' uses the raw diagonal entries over the nonzero
@@ -86,7 +89,8 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
     """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
 
-    One Jacobian and one symmetric eigenvalue solve: the margins are
+    One Jacobian, and one symmetric eigenvalue solve when the source is
+    coupled (uncoupled, the spectrum is H's sorted diagonal): the margins are
     J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
     the gap Delta is -max eig sym(H), and the coupling entropy is read off
     H because off the diagonal |H_lm| = |J_lm|. Delta' skips the first
@@ -97,7 +101,10 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
             the Fiedler gap is undefined.
     """
     hess = hessian(spec, basis, kernel)
-    eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
+    if spec.coupling is None:
+        eigs = np.sort(np.diag(hess))
+    else:
+        eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
     margins = -np.diag(hess)
     nonzero_margins = margins[basis.components:]
     if not nonzero_margins.size:

@@ -453,6 +453,28 @@ def test_graph_spec_grammar_exits_0_or_1(spec):
     assert (code == 0) == _parses(spec)
 
 
+_PATH_FORMS = "expected path:N or path:N:weaken=u,v,eps"
+
+
+# A spec that misses its grammar form names the form, and a missing edge is
+# named without KeyError's quotes.
+@pytest.mark.parametrize("command, spec, message", [
+    ("solve", "path:8:weaken=2,3", _PATH_FORMS),
+    ("solve", "trunk:4,3", "expected trunk:len,rootfan,branchfan"),
+    ("solve", "path:x", _PATH_FORMS),
+    ("solve", "path:8:weaken=2,3,0.3:x", _PATH_FORMS),
+    ("solve", "river:6,x,2", "expected river:stem,attach1,len1[,attach2,len2,...]"),
+    ("graph", "path:4:weaken=0,2,0.5", "edge (0,2) not in graph"),
+], ids=["weaken-two-values", "trunk-two-values", "path-not-int", "weaken-trailing-text",
+        "river-not-int", "edge-not-in-graph"])
+def test_a_bad_graph_spec_names_what_it_expected(tmp_path, capsys, command, spec, message):
+    argv = ["solve", "--graph", spec] if command == "solve" else ["graph", spec]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: bad graph spec {spec!r}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--sigma2", "abc"], 1),
     (["solve", "--weights", "bogus"], 1),
