@@ -127,7 +127,7 @@ def run_exp1(out_dir: str | None = None) -> ExperimentResult:
         hm[l] -= step
         f = lambda h: float(-(h[l]) * np.log(h[l] / h0[l]))
         fd[l] = (f(hp) - f(hm)) / (2 * step)
-    err = float(np.max(np.abs(analytic - fd)))
+    err = float(np.abs(analytic - fd).max())
     return _result("exp1", err <= 1e-8,
                    {"max_abs_error": err, "fd_step": step, "R_values": list(analytic)},
                    out_dir, ["mode", "analytic", "finite_difference"],
@@ -140,7 +140,7 @@ def run_exp2(out_dir: str | None = None) -> ExperimentResult:
     h = report.h_star.h
     passed = (
         report.converged
-        and bool(np.all(np.abs(h - 0.15470) <= 1e-3))
+        and bool((np.abs(h - 0.15470) <= 1e-3).all())
         and report.residual_inf <= 1e-10
         and 0.09 <= report.contraction_ratio <= 0.15
         and report.iterations <= 30
@@ -167,7 +167,7 @@ def run_exp3(out_dir: str | None = None) -> ExperimentResult:
     bent one is longer. On trunk:4,3,3 (eigenvalue 1 five-fold) ||K1 - K2||_F = ||h1 - h2||."""
     p8 = graph.build_path(8)
     vac = solve_graph(p8, mu2=0.0)[2].h_star
-    vac_err = float(np.max(np.abs(vac.h / vac.h0 - np.exp(-1.0))))
+    vac_err = float(np.abs(vac.h / vac.h0 - np.exp(-1.0)).max())
 
     h1 = solve_graph(p8, weight_rule=WeightRule.EIGENVALUE)[2].h_star.h
     t = np.linspace(0.0, 1.0, 2001)[:, None]  # 2000 steps
@@ -197,9 +197,9 @@ def run_exp4(out_dir: str | None = None) -> ExperimentResult:
     """Hessian structure and stability margins at the uniform-source fixed point."""
     basis, _, _, srep = solve_graph(graph.build_path(8))
     off = srep.hessian - np.diag(np.diag(srep.hessian))
-    off_max = float(np.max(np.abs(off)))
-    eig_err = float(np.max(np.abs(srep.eigenvalues - (-5.714))))
-    margin_err = float(np.max(np.abs(srep.margins - 5.714)))
+    off_max = float(np.abs(off).max())
+    eig_err = float(np.abs(srep.eigenvalues - (-5.714)).max())
+    margin_err = float(np.abs(srep.margins - 5.714).max())
     scoup_err = abs(srep.coupling_entropy - np.log(7))
     passed = (
         off_max <= 1e-12

@@ -55,7 +55,7 @@ class SourceSpec:
     coupling: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.sigma2, self.mu2, self.eta])):
+        if not np.isfinite([self.sigma2, self.mu2, self.eta]).all():
             raise DomainError(f"sigma2, mu2 and eta must be finite, got "
                               f"{self.sigma2}, {self.mu2}, {self.eta}")
         if not 0 < self.sigma2 <= MAX_SIGMA2:
@@ -68,12 +68,12 @@ class SourceSpec:
             raise DomainError("eta must be zero iff no coupling matrix is given")
         if self.coupling is not None:
             c = self.coupling
-            if np.any(c < 0):
+            if (c < 0).any():
                 raise DomainError("coupling matrix must be nonnegative")
-            if np.max(np.abs(np.diag(c))) != 0:
+            if np.abs(np.diag(c)).max() != 0:
                 raise DomainError("coupling matrix must have zero diagonal")
             sums = c.sum(axis=1)
-            if not np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0)):
+            if not ((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0)).all():
                 raise DomainError("coupling rows must sum to 1 or be empty")
 
 
@@ -164,7 +164,7 @@ def geometric_R(kernel: SpectralKernel) -> np.ndarray:
 
 def residual_inf(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> float:
     """Field-equation residual max_l |R_l - T_l| at the given kernel."""
-    return float(np.max(np.abs(geometric_R(kernel) - source_T(spec, basis, kernel.h))))
+    return float(np.abs(geometric_R(kernel) - source_T(spec, basis, kernel.h)).max())
 
 
 def solve_fixed_point(
@@ -194,10 +194,10 @@ def solve_fixed_point(
     h, u = h0.copy(), np.zeros_like(h0)
     for iterations in range(1, max_iter + 1):
         u_next = -1.0 - source_T(spec, basis, h)
-        if np.any(np.abs(u_next) > _EXP_GUARD):
+        if (np.abs(u_next) > _EXP_GUARD).any():
             raise NumericalError("exp argument out of range in fixed-point map")
         # u = ln(h / h0), so the step u_next - u is R - T at h.
-        residual = float(np.max(np.abs(u_next - u)))
+        residual = float(np.abs(u_next - u).max())
         if residual < tol or iterations == max_iter:
             break
         u, h = u_next, h0 * np.exp(u_next)
@@ -210,7 +210,7 @@ def solve_fixed_point(
         h_star=SpectralKernel(h, h0),
         iterations=iterations,
         residual_inf=residual,
-        contraction_ratio=float(np.max(np.abs(eigs))),
+        contraction_ratio=float(np.abs(eigs).max()),
         converged=residual < tol,
     )
 

@@ -7,6 +7,7 @@ which is fine at the desk scales this package targets (N <= 128).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -187,6 +188,23 @@ def from_json(text: str) -> Graph:
     return Graph(n, tuple((u, v, float(w)) for u, v, w in edges))
 
 
+# A spec's numbers, read strictly: a count or node is ASCII digits, and eps an
+# unsigned ASCII decimal or exponent literal, with no sign, space or underscore.
+_EPS = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _spec_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+def _spec_eps(text: str) -> float:
+    if not _EPS.fullmatch(text):
+        raise ValueError(text)
+    return float(text)
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """Resolve a builtin graph spec (SPEC_GRAMMAR) or load a graph JSON file;
     raises InvalidGraphError for a bad spec, an unreadable file or a bad graph.
@@ -195,20 +213,20 @@ def parse_graph_spec(spec: str) -> Graph:
     try:
         if head == "path":
             n_str, _, mod = rest.partition(":")
-            g = build_path(int(n_str))
+            g = build_path(_spec_int(n_str))
             if mod:
                 if not mod.startswith("weaken="):
                     raise ValueError(mod)
                 u, v, eps = mod[len("weaken="):].split(",")
-                g = weaken_edge(g, int(u), int(v), float(eps))
+                g = weaken_edge(g, _spec_int(u), _spec_int(v), _spec_eps(eps))
             return g
         if head == "river":
-            parts = [int(x) for x in rest.split(",") if x]
+            parts = [_spec_int(x) for x in rest.split(",")]
             if len(parts) % 2 != 1:
                 raise ValueError(rest)
             return build_river_channel(parts[0], list(zip(parts[1::2], parts[2::2])))
         if head == "trunk":
-            tl, rf, bf = (int(x) for x in rest.split(","))
+            tl, rf, bf = (_spec_int(x) for x in rest.split(","))
             return build_trunk_roots(tl, rf, bf)
     except (InvalidGraphError, EdgeNotFoundError) as exc:
         raise InvalidGraphError(f"bad graph spec {spec!r}: {exc}") from exc

@@ -100,7 +100,7 @@ class EigenBasis:
 
 def check_positive(h: np.ndarray):
     """Raise DomainError unless every weight in h is strictly positive."""
-    if np.any(h <= 0):
+    if (h <= 0).any():
         raise DomainError("spectral weights must be strictly positive")
 
 
@@ -141,7 +141,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mat = w[:, :n]
     rows, cols = list(w), list(mat.T)  # views: row l of w, column l of A
     for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(mat, -1) ** 2) * 2.0)
+        off = np.sqrt((np.tril(mat, -1) ** 2).sum() * 2.0)
         if off <= _OFFDIAG_TOL:
             break
         for p in range(n - 1):
@@ -188,9 +188,9 @@ def _symmetrized(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise InvalidMatrixError("matrix has a non-finite entry")
-    if np.max(np.abs(mat - mat.T)) > 1e-9:
+    if np.abs(mat - mat.T).max() > 1e-9:
         raise InvalidMatrixError("matrix is not symmetric")
     return (mat + mat.T) / 2.0
 

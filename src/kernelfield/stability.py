@@ -115,7 +115,7 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
         eigenvalues=eigs,
         margins=margins,
         hessian_gap=float(-eigs[-1]),
-        fiedler_gap=float(np.min(nonzero_margins)),
+        fiedler_gap=float(nonzero_margins.min()),
         coupling_entropy=_offdiag_row_entropy(hess),
         stable=bool(eigs[-1] < 0),
     )

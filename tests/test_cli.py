@@ -465,8 +465,15 @@ _PATH_FORMS = "expected path:N or path:N:weaken=u,v,eps"
     ("solve", "path:8:weaken=2,3,0.3:x", _PATH_FORMS),
     ("solve", "river:6,x,2", "expected river:stem,attach1,len1[,attach2,len2,...]"),
     ("graph", "path:4:weaken=0,2,0.5", "edge (0,2) not in graph"),
+    ("graph", "path:1_0", _PATH_FORMS),
+    ("graph", "path:+8", _PATH_FORMS),
+    ("graph", "path: 8 ", _PATH_FORMS),
+    ("graph", "path:\uff18", _PATH_FORMS),
+    ("solve", "path:8:weaken=2,3,1_0e-1", _PATH_FORMS),
+    ("graph", "river:6,,1,2", "expected river:stem,attach1,len1[,attach2,len2,...]"),
 ], ids=["weaken-two-values", "trunk-two-values", "path-not-int", "weaken-trailing-text",
-        "river-not-int", "edge-not-in-graph"])
+        "river-not-int", "edge-not-in-graph", "path-underscore", "path-sign", "path-spaces",
+        "path-full-width-digit", "eps-underscore", "river-empty-part"])
 def test_a_bad_graph_spec_names_what_it_expected(tmp_path, capsys, command, spec, message):
     argv = ["solve", "--graph", spec] if command == "solve" else ["graph", spec]
     out = tmp_path / "out"

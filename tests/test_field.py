@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (
@@ -27,7 +28,7 @@ from kernelfield import (
 )
 from kernelfield.diagnostics import fisher_rao_diag
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
-from kernelfield.field import MAX_MU2, MAX_SIGMA2
+from kernelfield.field import MAX_MU2, MAX_SIGMA2, mode_weights
 from kernelfield.graph import Graph, parse_graph_spec
 
 
@@ -214,6 +215,83 @@ def test_converged_means_the_reported_residual_is_below_tol(n, sigma2, mu2, rule
     report = solve_fixed_point(spec, basis, np.ones(n), max_iter=max_iter)
     assert report.iterations <= max_iter
     _assert_reports_its_own_residual(spec, basis, report, 1e-12)
+
+
+def _reference_solve(spec, basis, h0, max_iter, tol=1e-12):
+    """The Picard loop of field.solve_fixed_point as it stood before its reductions became
+    ndarray methods, kept verbatim with source_T, its Jacobian and the positivity check
+    inlined: a test-only reference that the loop must match bit for bit. Returns the bytes
+    of h_star, the iterations, residual_inf and contraction_ratio."""
+
+    def t_of(h):
+        if np.any(h <= 0):
+            raise DomainError("spectral weights must be strictly positive")
+        t = spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h))
+        if spec.coupling is not None:
+            t = t + spec.eta * (spec.coupling @ h)
+        return t
+
+    h0 = np.asarray(h0, dtype=float)
+    h, u = h0.copy(), np.zeros_like(h0)
+    for iterations in range(1, max_iter + 1):
+        u_next = -1.0 - t_of(h)
+        if np.any(np.abs(u_next) > 700.0):
+            raise NumericalError("exp argument out of range in fixed-point map")
+        residual = float(np.max(np.abs(u_next - u)))
+        if residual < tol or iterations == max_iter:
+            break
+        u, h = u_next, h0 * np.exp(u_next)
+    slopes = -spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h) ** 2)
+    if spec.coupling is None:
+        eigs = h * slopes
+    else:
+        eigs = np.linalg.eigvals(h[:, None] * (np.diag(slopes) + spec.eta * spec.coupling))
+    return h.tobytes(), iterations, residual, float(np.max(np.abs(eigs)))
+
+
+def _solve(spec, basis, h0, max_iter):
+    rep = solve_fixed_point(spec, basis, h0, max_iter=max_iter)
+    return rep.h_star.h.tobytes(), rep.iterations, rep.residual_inf, rep.contraction_ratio
+
+
+def _outcome(solve, *args):
+    """What solve(*args) returns, or the type and message of the error it raises."""
+    try:
+        return solve(*args)
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_and_coupling(spec, coupled):
+    basis = eig_symmetric(laplacian(parse_graph_spec(spec)))
+    return basis, build_coupling(basis) if coupled else None
+
+
+# Draws as param-scan makes them (path graphs, both weight rules, sigma2 log-uniform on
+# [0.1, 10], mu2 uniform on [0, 8], h0 = 1), plus other constant h0 and coupled sources on
+# path:8 and trunk:4,3,3, whose eigenvectors are cheap. The examples take both error paths:
+# the exp guard, and an iterate that underflows to 0.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.tuples(st.integers(2, 128).map("path:{}".format), st.just(0.0))
+       | st.tuples(st.sampled_from(["path:8", "trunk:4,3,3"]),
+                   st.floats(0.0, 0.3, exclude_min=True)),
+       sigma2=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+       mu2=st.floats(0.0, 8.0),
+       rule=st.sampled_from(list(WeightRule)),
+       max_iter=st.sampled_from([3, 200]),
+       h0=st.just(1.0) | st.floats(0.1, 10.0))
+@example(case=("path:8", 0.0), sigma2=1.0, mu2=1e6, rule=WeightRule.UNIFORM, max_iter=200, h0=1e-3)
+@example(case=("trunk:4,3,3", 0.1), sigma2=1.0, mu2=1e6, rule=WeightRule.EIGENVALUE, max_iter=200,
+         h0=1e-3)
+@example(case=("path:16", 0.0), sigma2=1.0, mu2=2.0, rule=WeightRule.EIGENVALUE, max_iter=200,
+         h0=5e-324)
+def test_solve_matches_the_reference_loop(case, sigma2, mu2, rule, max_iter, h0):
+    graph, eta = case
+    basis, coupling = _basis_and_coupling(graph, eta > 0)
+    spec = SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule, eta=eta, coupling=coupling)
+    args = (spec, basis, np.full(basis.n, h0), max_iter)
+    assert _outcome(_solve, *args) == _outcome(_reference_solve, *args)
 
 
 def test_fixed_point_overflow_guard(p8):

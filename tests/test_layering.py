@@ -10,6 +10,10 @@
    definition, or in bench/: what no caller needs is deleted. A use is a
    name, an attribute or, for the benchmark's tracer, which patches by name,
    a string.
+4. No module calls numpy's module-level np.any, np.all, np.max, np.min or
+   np.sum: the ndarray method runs the same reduction, bit for bit, without
+   the wrapper's Python dispatch, which costs more than the arithmetic on
+   the package's short per-mode vectors.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ BENCH = {path.stem: ast.parse(path.read_text(), str(path))
          for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
 
 _OS_WRITES = {"replace", "rename", "makedirs", "mkdir", "remove", "unlink", "rmdir"}
+_NP_REDUCTIONS = {"any", "all", "max", "min", "sum"}
 
 
 def _imports_private(tree: ast.Module) -> list[str]:
@@ -63,6 +68,14 @@ def _writers(name: str, tree: ast.Module) -> set[str]:
 
     visit(tree, name)
     return found
+
+
+def _np_reductions(name: str, tree: ast.Module) -> list[str]:
+    """Calls np.any, np.all, np.max, np.min or np.sum in module name, as "name:line np.fn"."""
+    return [f"{name}:{node.lineno} np.{node.func.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and node.func.attr in _NP_REDUCTIONS]
 
 
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -116,12 +129,21 @@ def test_every_public_function_and_class_has_a_user():
     assert _unused(MODULES, BENCH) == []
 
 
+def test_no_module_calls_a_numpy_reduction_wrapper():
+    assert [call for name, tree in MODULES.items() for call in _np_reductions(name, tree)] == []
+
+
 def test_the_rules_see_what_they_forbid():
     tree = ast.parse("from .experiments import _write_atomic\n"
                      "def save(p):\n    with open(p, 'w') as fh:\n        os.makedirs(p)\n"
                      "def load(p):\n    return open(p).read(), open(p, mode='rb')\n")
     assert _imports_private(tree) == ["experiments._write_atomic"]
     assert _writers("m", tree) == {"m.save"}
+    # The wrappers are calls through np; the methods and other np functions are not.
+    tree = ast.parse("a = np.max(x)\nb = x.max()\nc = np.maximum(x, y)\n"
+                     "d = np.any(x < 0) or np.all(x) or np.min(x) or np.sum(x)\n")
+    assert _np_reductions("m", tree) == ["m:1 np.max", "m:4 np.any", "m:4 np.all", "m:4 np.min",
+                                         "m:4 np.sum"]
     # recurse only calls itself, and __init__'s export of orphan is not a use.
     modules = {"m": ast.parse("def recurse(n):\n    return recurse(n - 1)\n"
                               "def orphan():\n    pass\n"
