@@ -168,15 +168,18 @@ def from_json(text: str) -> Graph:
     loads as a float.
 
     Raises:
-        InvalidGraphError: malformed JSON, a missing key or a value of the
-            wrong type ("malformed graph JSON: ..."), or a graph that Graph
-            rejects.
+        InvalidGraphError: malformed JSON, a missing or unknown key or a
+            value of the wrong type ("malformed graph JSON: ..."), or a graph
+            that Graph rejects.
     """
     try:
         obj = json.loads(text)
         n, edges = obj["n"], obj["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed graph JSON: {exc}") from exc
+    unknown = [key for key in obj if key not in ("n", "edges")]
+    if unknown:
+        raise InvalidGraphError(f"malformed graph JSON: unknown key(s) {', '.join(map(repr, unknown))}")
     if type(n) is not int:
         raise InvalidGraphError(f"malformed graph JSON: n must be an integer, got {n!r}")
     if type(edges) is not list:

@@ -13,10 +13,12 @@ row l of A beside column l of V, so one in-place rotation of two rows
 rotates A's rows and V's columns at once; since A stays exactly symmetric,
 A's new rows are also its new columns off the rotated 2x2 block, and the
 sweep is bit-identical to the textbook loop that rotates columns, then
-rows, then V (see _jacobi). The Jacobi stays because the coupled outputs read
-the eigenvectors, which are not unique where an eigenvalue repeats: until
-the basis is made canonical on such subspaces, another solver would change
-those numbers. Its NumericalError therefore comes from reading vectors.
+rows, then V (see _jacobi). Each rotation's angle is computed in Python
+floats with the C library's hypot, as np.hypot computes it. The Jacobi
+stays because the coupled outputs read the eigenvectors, which are not
+unique where an eigenvalue repeats: until the basis is made canonical on
+such subspaces, another solver would change those numbers. Its
+NumericalError therefore comes from reading vectors.
 An eigenvector's sign is not fixed here; every reader but eigenbasis.csv
 is invariant under flipping a column, and that file applies its own sign
 convention.
@@ -99,8 +101,8 @@ class EigenBasis:
 
 
 def check_positive(h: np.ndarray):
-    """Raise DomainError unless every weight in h is strictly positive."""
-    if (h <= 0).any():
+    """Raise DomainError unless every weight in h is strictly positive (so not NaN)."""
+    if not (h > 0).all():
         raise DomainError("spectral weights must be strictly positive")
 
 
@@ -135,6 +137,8 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the textbook result bit for bit. Only the block, where the row rotation
     reads the column rotation's output, is set from scalars with the
     textbook's two steps. The result is bit-identical to the textbook loop.
+    The angle is computed in Python floats with the C library's hypot, which
+    np.hypot calls too, and the two rows turn in five in-place numpy calls.
     """
     n = a.shape[0]
     w = np.hstack((a, np.eye(n)))
@@ -154,22 +158,22 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 diff = aqq - app
                 if abs(apq) < 1e-150 * abs(diff):
                     t = apq / diff  # negligible angle; theta itself would overflow
-                elif diff == 0.0:
-                    t = 1.0
                 else:
+                    # The textbook's sign, t > 0 for theta >= 0: t = 1 where diff is 0
+                    # or theta underflows to 0, so that A[p, q] is rotated away.
                     theta = diff / (2.0 * apq)
-                    t = float(np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)))
-                # np.hypot, not math.hypot: they differ in the last bit on some inputs.
-                c = float(1.0 / np.hypot(t, 1.0))
+                    t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + abs(complex(theta, 1.0)))
+                # abs(complex(x, 1.0)) is libm's hypot(x, 1.0), as np.hypot's is;
+                # math.hypot differs from it in the last bit on some inputs.
+                c = 1.0 / abs(complex(t, 1.0))
                 s = t * c
-                # Rows p, q of w become c row_p - s row_q and s row_p + c row_q.
+                # Rows p, q of w become c row_p - s row_q and c row_q + s row_p.
                 row_q = rows[q]
-                old_p, c_row_q = row_p.copy(), c * row_q
-                row_q *= s
-                np.multiply(old_p, c, out=row_p)
-                row_p -= row_q
-                np.multiply(old_p, s, out=row_q)
-                row_q += c_row_q
+                s_row_p = s * row_p
+                row_p *= c
+                row_p -= s * row_q
+                row_q *= c
+                row_q += s_row_p
                 cols[p][:] = row_p[:n]
                 cols[q][:] = row_q[:n]
                 # The block: the column rotation's 2x2, then the row rotation's.

@@ -261,15 +261,18 @@ def test_nonfinite_or_out_of_range_input_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# A graph file of the wrong JSON types, with a weight above the bound (one
-# whose weighted degree would overflow) or a solve on a graph with no edge,
-# whose every Laplacian mode is a zero mode, is an input error.
+# A graph file of the wrong JSON types, with a key other than n and edges,
+# with a weight above the bound (one whose weighted degree would overflow) or
+# a solve on a graph with no edge, whose every Laplacian mode is a zero mode,
+# is an input error.
 @pytest.mark.parametrize("argv, graph_text, message", [
     (["graph"], '{"n": 3.7, "edges": [[0, 1.9, 1], [1, 2, true]]}', "malformed graph JSON"),
+    (["graph"], '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "extra": 1}',
+     "malformed graph JSON: unknown key(s) 'extra'"),
     (["graph"], '{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}', "weight must be in (0, 1e+100]"),
     (["solve", "--graph"], '{"n": 1, "edges": []}', "the graph has no edge"),
     (["solve", "--graph"], '{"n": 2, "edges": []}', "the graph has no edge"),
-], ids=["json-types", "degree-overflow", "one-node", "two-isolated-nodes"])
+], ids=["json-types", "unknown-key", "degree-overflow", "one-node", "two-isolated-nodes"])
 def test_graph_file_input_error_exit_1(tmp_path, capsys, argv, graph_text, message):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(graph_text)

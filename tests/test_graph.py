@@ -199,6 +199,7 @@ def test_from_json_malformed():
                  '{"n": "3", "edges": [[0, 1, "2.5"], [1, 2, 1]]}',
                  '{"n": 3, "edges": {"012": 0}}',
                  '{"n": 3, "edges": [[0, 1]]}',
+                 '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "extra": 1}',
                  '{"n": 2, "edges": [[0, 1, 1' + '0' * 400 + ']]}',  # overflows binary64
                  '[3]'):
         with pytest.raises(InvalidGraphError):

@@ -14,6 +14,10 @@
    np.sum: the ndarray method runs the same reduction, bit for bit, without
    the wrapper's Python dispatch, which costs more than the arithmetic on
    the package's short per-mode vectors.
+5. No module calls math.hypot: it differs from the C library's hypot, which
+   numpy's hypot and abs(complex(x, y)) call, in the last bit on some
+   inputs, so it would break the Jacobi's bit-identity with its textbook
+   reference.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ def _writers(name: str, tree: ast.Module) -> set[str]:
     return found
 
 
-def _np_reductions(name: str, tree: ast.Module) -> list[str]:
-    """Calls np.any, np.all, np.max, np.min or np.sum in module name, as "name:line np.fn"."""
-    return [f"{name}:{node.lineno} np.{node.func.attr}" for node in ast.walk(tree)
+def _calls(name: str, tree: ast.Module, module: str, attrs: set[str]) -> list[str]:
+    """Calls module.attr, attr in attrs, in module name, as "name:line module.attr"."""
+    return [f"{name}:{node.lineno} {module}.{node.func.attr}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-            and node.func.attr in _NP_REDUCTIONS]
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == module
+            and node.func.attr in attrs]
 
 
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -130,7 +134,13 @@ def test_every_public_function_and_class_has_a_user():
 
 
 def test_no_module_calls_a_numpy_reduction_wrapper():
-    assert [call for name, tree in MODULES.items() for call in _np_reductions(name, tree)] == []
+    assert [call for name, tree in MODULES.items()
+            for call in _calls(name, tree, "np", _NP_REDUCTIONS)] == []
+
+
+def test_no_module_calls_math_hypot():
+    assert [call for name, tree in MODULES.items()
+            for call in _calls(name, tree, "math", {"hypot"})] == []
 
 
 def test_the_rules_see_what_they_forbid():
@@ -142,8 +152,11 @@ def test_the_rules_see_what_they_forbid():
     # The wrappers are calls through np; the methods and other np functions are not.
     tree = ast.parse("a = np.max(x)\nb = x.max()\nc = np.maximum(x, y)\n"
                      "d = np.any(x < 0) or np.all(x) or np.min(x) or np.sum(x)\n")
-    assert _np_reductions("m", tree) == ["m:1 np.max", "m:4 np.any", "m:4 np.all", "m:4 np.min",
-                                         "m:4 np.sum"]
+    assert _calls("m", tree, "np", _NP_REDUCTIONS) == ["m:1 np.max", "m:4 np.any", "m:4 np.all",
+                                                       "m:4 np.min", "m:4 np.sum"]
+    # math.hypot is a call through math; np.hypot and abs(complex(...)) are not.
+    tree = ast.parse("a = math.hypot(t, 1.0)\nb = np.hypot(t, 1.0)\nc = abs(complex(t, 1.0))\n")
+    assert _calls("m", tree, "math", {"hypot"}) == ["m:1 math.hypot"]
     # recurse only calls itself, and __init__'s export of orphan is not a use.
     modules = {"m": ast.parse("def recurse(n):\n    return recurse(n - 1)\n"
                               "def orphan():\n    pass\n"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernelfield import (
     DimensionMismatchError,
+    DomainError,
     InvalidMatrixError,
     NumericalError,
     SourceSpec,
@@ -15,14 +16,18 @@ from kernelfield import (
     build_path,
     diagnostics_record,
     eig_symmetric,
+    fisher_rao_diag,
     heat_kernel_weights,
     laplacian,
     materialize_kernel,
     solve_fixed_point,
+    source_jacobian,
+    source_T,
+    spectral_entropy,
     stability_report,
     weaken_edge,
 )
-from kernelfield import spectral
+from kernelfield import field, spectral
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
 from kernelfield.graph import Graph, parse_graph_spec
 from kernelfield.spectral import _jacobi, eigenbasis_to_csv
@@ -248,13 +253,38 @@ def test_dimension_mismatch(p8_basis):
 
 
 def test_kernel_requires_positive_weights():
-    from kernelfield import DomainError
     with pytest.raises(DomainError):
         SpectralKernel(np.array([1.0, 0.0]), np.ones(2))
 
 
+_P2_BASIS = eig_symmetric(laplacian(build_path(2)))
+_NAN_ENTRIES = {
+    "SpectralKernel-h": lambda h: SpectralKernel(h, np.ones(2)),
+    "SpectralKernel-h0": lambda h: SpectralKernel(np.ones(2), h),
+    "source_T": lambda h: source_T(SourceSpec(), _P2_BASIS, h),
+    "source_jacobian": lambda h: source_jacobian(SourceSpec(), _P2_BASIS, h),
+    "solve_fixed_point": lambda h: solve_fixed_point(SourceSpec(), _P2_BASIS, h),
+    "spectral_entropy": spectral_entropy,
+    "fisher_rao_diag": fisher_rao_diag,
+    "diagnostics_record-h": lambda h: diagnostics_record(h, np.ones(2)),
+    "diagnostics_record-h0": lambda h: diagnostics_record(np.ones(2), h),
+}
+
+
+@pytest.mark.parametrize("entry", _NAN_ENTRIES.values(), ids=_NAN_ENTRIES.keys())
+@pytest.mark.parametrize("h", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
+def test_a_nan_weight_is_a_domain_error(entry, h, monkeypatch):
+    """NaN is not strictly positive; a solve refuses its h0 before the first step."""
+    steps = []
+    monkeypatch.setattr(field, "source_T", lambda *args: steps.append(args))
+    with pytest.raises(DomainError, match="spectral weights must be strictly positive"):
+        entry(np.array(h))
+    assert steps == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(arrays(np.float64, (6, 6), elements=st.floats(-5, 5)))
+@example(np.pad([[5e-324, 2.0]], ((0, 5), (0, 4))))  # theta underflows to 0
 def test_jacobi_on_random_symmetric(a):
     sym = (a + a.T) / 2.0
     basis = eig_symmetric(sym)
@@ -297,7 +327,7 @@ def _textbook_jacobi(a):
                     t = 1.0
                 else:
                     theta = diff / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
+                    t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + np.hypot(theta, 1.0))
                 c = 1.0 / np.hypot(t, 1.0)
                 s = t * c
                 col_p, col_q = a[:, p].copy(), a[:, q].copy()
@@ -349,14 +379,34 @@ def _jacobi_inputs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_jacobi_inputs())
+@example(np.array([[0.0, 1.0], [1.0, 5e-324]]))  # theta underflows to 0: t = 1
 def test_jacobi_is_bit_identical_to_the_textbook_sweep(sym):
     _assert_jacobi_matches_the_textbook_bitwise(sym)
 
 
-@pytest.mark.parametrize("target, eps", SWEEP_ROWS + [("path64", None)])
+# Paths at the sizes the coupled sweep rows of the benchmark run, intact and
+# weakened at one edge to eps in [0.01, 1].
+_LARGE_PATHS = ["path:64", "path:32:weaken=5,6,0.3", "path:32:weaken=20,21,0.0123",
+                "path:48:weaken=23,24,0.01", "path:48:weaken=0,1,0.61",
+                "path:64:weaken=5,6,0.3", "path:64:weaken=40,41,0.047", "path:64:weaken=62,63,0.9"]
+
+
+@pytest.mark.parametrize("target, eps", SWEEP_ROWS + [(spec, None) for spec in _LARGE_PATHS])
 def test_jacobi_is_bit_identical_to_the_textbook_sweep_on_sweep_laplacians(target, eps):
-    lap = laplacian(build_path(64)) if target == "path64" else _sweep_laplacian(target, eps)
+    lap = laplacian(parse_graph_spec(target)) if eps is None else _sweep_laplacian(target, eps)
     _assert_jacobi_matches_the_textbook_bitwise(lap)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.floats(-1e300, 1e300, allow_subnormal=True)
+       | st.floats(-1e300, 1e300).map(lambda x: x * 1e-8)
+       | st.floats(-2.0, 2.0)
+       | st.sampled_from([5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.0, -0.0]))
+def test_complex_abs_is_the_hypot_ufunc_bit_for_bit(x):
+    """The Jacobi takes its angle from abs(complex(x, 1.0)): CPython's complex
+    abs and numpy's float64 hypot both call the C library's hypot. A result
+    is at least 1, so == compares every bit."""
+    assert abs(complex(x, 1.0)) == np.hypot(x, 1.0)
 
 
 def test_an_exhausted_sweep_raises_on_the_vectors_read(monkeypatch):
