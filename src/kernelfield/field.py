@@ -82,10 +82,12 @@ class FixedPointReport:
     """Outcome of the fixed-point iteration.
 
     residual_inf is max|R - T| at h_star, and converged is residual_inf < tol.
-    iterations counts evaluations of T. contraction_ratio is the iteration's
-    local rate at h_star: the spectral radius of diag(h_star) J, which is
-    similar to J diag(h_star), the Jacobian of the map in u = ln(h / h0) up
-    to sign. It depends on h_star alone, not on the iterates.
+    iterations counts evaluations of T, one per Picard or Newton step, and
+    h_star is the last iterate, whichever step made it. contraction_ratio is
+    Picard's local rate at h_star: the spectral radius of diag(h_star) J,
+    which is similar to J diag(h_star), the Jacobian of the map in
+    u = ln(h / h0) up to sign. It depends on h_star alone, not on the
+    iterates.
     """
 
     h_star: SpectralKernel
@@ -167,6 +169,24 @@ def residual_inf(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) ->
     return float(np.abs(geometric_R(kernel) - source_T(spec, basis, kernel.h)).max())
 
 
+def _newton_update(spec: SourceSpec, basis: EigenBasis, h: np.ndarray, u: np.ndarray,
+                   u_next: np.ndarray) -> np.ndarray | None:
+    """The Newton update u - G'^-1 G(u) for G(u) = u + 1 + T[h0 e^u] = u - u_next, with
+    G' = I + J diag(h), or None where it cannot be taken: a diagonal of G' not positive,
+    G' singular, or an update beyond the exp guard."""
+    d = 1.0 + h * _mi_slopes(spec, basis, h)  # the diagonal of G'; C's is zero
+    if not (d > 0).all():
+        return None
+    if spec.coupling is None:
+        u_new = u - (u - u_next) / d
+    else:
+        try:
+            u_new = u - np.linalg.solve(np.diag(d) + spec.eta * spec.coupling * h, u - u_next)
+        except np.linalg.LinAlgError:
+            return None
+    return u_new if (np.abs(u_new) <= _EXP_GUARD).all() else None
+
+
 def solve_fixed_point(
     spec: SourceSpec,
     basis: EigenBasis,
@@ -174,11 +194,17 @@ def solve_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> FixedPointReport:
-    """Iterate u = ln(h / h0) <- -1 - T[h] from h0 until max|R - T| < tol.
+    """Solve u = ln(h / h0) = -1 - T[h] from h0 until max|R - T| < tol.
 
-    The step max|u_next - u| is the residual max|R - T| at h, so tol bounds
-    it at the returned h_star (see FixedPointReport). Non-convergence is
-    reported, not raised; exp overflow is raised.
+    Picard iterates u <- -1 - T[h] while the residual max|R - T| is at or
+    above sqrt(tol). Below it, Newton steps on G(u) = u + 1 + T[h0 e^u]
+    take over; each takes a residual r to about r^2, so one step from
+    sqrt(tol) lands near tol. A Newton step that cannot be taken (see
+    _newton_update) or does not lower the residual hands the rest of the
+    solve back to Picard, which ends on the same root. Either way Picard's
+    step u_next - u at h is the residual at h, so tol bounds it at the
+    returned h_star (see FixedPointReport). Non-convergence is reported,
+    not raised; exp overflow is raised.
 
     Raises:
         DomainError: h0 not strictly positive, tol not finite and positive,
@@ -192,6 +218,9 @@ def solve_fixed_point(
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     h, u = h0.copy(), np.zeros_like(h0)
+    # Newton runs while the residual is below newton_below: sqrt(tol) at first, then the
+    # residual its last step started from, and 0 once a Newton step failed.
+    newton_below = math.sqrt(tol)
     for iterations in range(1, max_iter + 1):
         u_next = -1.0 - source_T(spec, basis, h)
         if (np.abs(u_next) > _EXP_GUARD).any():
@@ -200,6 +229,11 @@ def solve_fixed_point(
         residual = float(np.abs(u_next - u).max())
         if residual < tol or iterations == max_iter:
             break
+        if residual < newton_below:
+            u_newton = _newton_update(spec, basis, h, u, u_next)
+            u_next, newton_below = (u_next, 0.0) if u_newton is None else (u_newton, residual)
+        elif newton_below < math.sqrt(tol):  # the last Newton step did not lower the residual
+            newton_below = 0.0
         u, h = u_next, h0 * np.exp(u_next)
     # diag(h) J is similar to the map's Jacobian in u, and diagonal when uncoupled.
     if spec.coupling is None:

@@ -125,11 +125,15 @@ def test_an_exhausted_jacobi_sweep_exits_2_and_writes_nothing(tmp_path, monkeypa
     # h* collapses to 2.3e-16 while the residual first grows to 17.8, so
     # the ratio of the last residuals read 1.38 although the rate is 1.6e-12.
     (["--sigma2", "0.005", "--mu2", "0.35"], 0, 0.0, 1e-11),
-    # Picard's slow contraction: a rate of 0.972 leaves it short of tol.
+    # Picard's slow contraction: a rate of 0.972 leaves it at residual 8.1e-3 after 200
+    # steps, above sqrt(tol), so no Newton step finishes it.
     (["--eta", "20"], 2, 0.9, 0.99),
+    # 3e-4 below the upper fold Picard's rate is 0.925, and 200 steps leave it at residual
+    # 1.9e-9; from sqrt(tol) on, Newton steps finish the solve.
+    (["--sigma2", "0.005", "--mu2", "0.28"], 0, 0.92, 0.93),
     # A constant map: no source, so the rate is exactly 0.
     (["--mu2", "0"], 0, 0.0, 0.0),
-], ids=["collapsed-h", "slow-contraction", "no-source"])
+], ids=["collapsed-h", "slow-contraction", "near-fold", "no-source"])
 def test_solve_prints_the_rate_at_h_star(tmp_path, capsys, argv, code, lo, hi):
     assert main(["solve", "--graph", "path:8", *argv, "--out", str(tmp_path)]) == code
     fields = dict(item.split("=") for item in capsys.readouterr().out.split())
