@@ -95,7 +95,13 @@ def vacuum_threshold(h0: np.ndarray) -> float:
 def diagnostics_record(h: np.ndarray, h0: np.ndarray) -> DiagnosticsRecord:
     """Compute all diagnostics for a kernel; alarm fires when the entropy
     falls more than DEFAULT_ALARM_MARGIN nats below the vacuum-calibrated
-    threshold."""
+    threshold.
+
+    Raises:
+        DimensionMismatchError: h and h0 differ in shape.
+    """
+    if np.shape(h) != np.shape(h0):
+        raise DimensionMismatchError("h and h0 must have the same length")
     entropy = spectral_entropy(h)
     fisher = fisher_rao_diag(h)
     threshold = vacuum_threshold(h0)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .spectral import EigenBasis, SpectralKernel, check_positive
+from .errors import DimensionMismatchError, DomainError, NumericalError
+from .spectral import EigenBasis, SpectralKernel, check_length, check_positive
 
 _EXP_GUARD = 700.0  # exp argument beyond this over/underflows binary64
 
@@ -43,9 +43,10 @@ class SourceSpec:
     T_l[h] = mu2 * w_l / (2 * (sigma2 + h_l)) + eta * (C h)_l
 
     sigma2 lies in (0, MAX_SIGMA2] and mu2 in [0, MAX_MU2]. The coupling
-    matrix C must be nonnegative with zero diagonal and rows summing to 1
-    (or to 0 for empty rows); eta is zero exactly when no coupling matrix is
-    supplied.
+    matrix C must be square, nonnegative with zero diagonal and rows summing
+    to 1 (or to 0 for empty rows); eta is zero exactly when no coupling
+    matrix is supplied. Its size is checked against a basis where the two
+    first meet, in source_T and source_jacobian.
     """
 
     sigma2: float = 1.0
@@ -55,7 +56,7 @@ class SourceSpec:
     coupling: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite([self.sigma2, self.mu2, self.eta]).all():
+        if not (math.isfinite(self.sigma2) and math.isfinite(self.mu2) and math.isfinite(self.eta)):
             raise DomainError(f"sigma2, mu2 and eta must be finite, got "
                               f"{self.sigma2}, {self.mu2}, {self.eta}")
         if not 0 < self.sigma2 <= MAX_SIGMA2:
@@ -68,6 +69,8 @@ class SourceSpec:
             raise DomainError("eta must be zero iff no coupling matrix is given")
         if self.coupling is not None:
             c = self.coupling
+            if c.ndim != 2 or c.shape[0] != c.shape[1]:
+                raise DimensionMismatchError(f"coupling matrix must be square, got shape {c.shape}")
             if (c < 0).any():
                 raise DomainError("coupling matrix must be nonnegative")
             if np.abs(np.diag(c)).max() != 0:
@@ -136,9 +139,23 @@ def build_coupling(basis: EigenBasis) -> np.ndarray:
     return c
 
 
-def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
-    """Per-mode source T_l[h], including the optional coupling term."""
+def _check_operands(spec: SourceSpec, basis: EigenBasis, h: np.ndarray):
+    """Raise unless h is n positive weights and the coupling, if any, is n x n, n = basis.n."""
+    check_length(h, basis.n)
     check_positive(h)
+    if spec.coupling is not None and len(spec.coupling) != basis.n:
+        raise DimensionMismatchError(f"coupling matrix size {len(spec.coupling)} does not match "
+                                     f"basis size {basis.n}")
+
+
+def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
+    """Per-mode source T_l[h], including the optional coupling term.
+
+    Raises:
+        DimensionMismatchError: h or the coupling matrix does not match basis.n.
+        DomainError: h not strictly positive.
+    """
+    _check_operands(spec, basis, h)
     t = spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h))
     if spec.coupling is not None:
         t = t + spec.eta * (spec.coupling @ h)
@@ -151,8 +168,13 @@ def _mi_slopes(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray
 
 
 def source_jacobian(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
-    """J_lm = dT_l/dh_m: diagonal MI part plus eta*C."""
-    check_positive(h)
+    """J_lm = dT_l/dh_m: diagonal MI part plus eta*C.
+
+    Raises:
+        DimensionMismatchError: h or the coupling matrix does not match basis.n.
+        DomainError: h not strictly positive.
+    """
+    _check_operands(spec, basis, h)
     jac = np.diag(_mi_slopes(spec, basis, h))
     if spec.coupling is not None:
         jac = jac + spec.eta * spec.coupling
@@ -207,12 +229,13 @@ def solve_fixed_point(
     not raised; exp overflow is raised.
 
     Raises:
+        DimensionMismatchError: h0 or the coupling matrix does not match basis.n.
         DomainError: h0 not strictly positive, tol not finite and positive,
             or max_iter < 1.
         NumericalError: exp argument out of the binary64 range.
     """
     h0 = np.asarray(h0, dtype=float)
-    check_positive(h0)
+    _check_operands(spec, basis, h0)
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:

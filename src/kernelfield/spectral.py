@@ -106,6 +106,13 @@ def check_positive(h: np.ndarray):
         raise DomainError("spectral weights must be strictly positive")
 
 
+def check_length(h: np.ndarray, n: int):
+    """Raise DimensionMismatchError unless the array h is a vector of n weights, one per basis mode."""
+    if h.shape != (n,):
+        raise DimensionMismatchError(f"kernel length does not match basis size: "
+                                     f"got shape {h.shape}, the basis has {n} modes")
+
+
 @dataclass(frozen=True)
 class SpectralKernel:
     """Positive spectral weights h with a positive reference h0."""
@@ -249,8 +256,7 @@ def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
         DimensionMismatchError: kernel and basis sizes differ.
         NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
-    if len(kernel.h) != basis.n:
-        raise DimensionMismatchError("kernel length does not match basis size")
+    check_length(kernel.h, basis.n)
     phi = basis.vectors
     return (phi * kernel.h) @ phi.T
 

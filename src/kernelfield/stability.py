@@ -75,12 +75,13 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
     """
     mag = np.abs(mat)
     n = mag.shape[0]
+    empty_row = np.log(n - 1)
     total = 0.0
     for l in range(n):
         off = np.delete(mag[l], l)
         mass = off.sum()
         if mass == 0:
-            total += np.log(n - 1)
+            total += empty_row
             continue
         total += shannon(off / mass)
     return total / n
@@ -101,11 +102,12 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
             the Fiedler gap is undefined.
     """
     hess = hessian(spec, basis, kernel)
+    diag = np.diag(hess)
     if spec.coupling is None:
-        eigs = np.sort(np.diag(hess))
+        eigs = np.sort(diag)
     else:
         eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
-    margins = -np.diag(hess)
+    margins = -diag
     nonzero_margins = margins[basis.components:]
     if not nonzero_margins.size:
         raise DomainError(f"the graph has no edge, so all {basis.n} Laplacian modes are "

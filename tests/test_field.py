@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelfield import (
+    DimensionMismatchError,
     DomainError,
     NumericalError,
     SourceSpec,
@@ -84,7 +85,7 @@ def test_source_rejects_nonpositive(p8):
         source_T(spec, basis, np.zeros(8))
 
 
-def test_spec_validation():
+def test_spec_validation(p8):
     with pytest.raises(DomainError):
         SourceSpec(sigma2=0.0)
     with pytest.raises(DomainError, match=r"sigma2 must be in \(0, 1e\+100\]"):
@@ -100,6 +101,15 @@ def test_spec_validation():
     c = np.eye(2)  # nonzero diagonal
     with pytest.raises(DomainError):
         SourceSpec(eta=0.1, coupling=c)
+    for c in (np.zeros((3, 5)), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match="coupling matrix must be square"):
+            SourceSpec(eta=0.1, coupling=c)
+    # A valid 3 x 3 coupling meets an 8-mode basis.
+    basis, _ = p8
+    spec = SourceSpec(eta=0.1, coupling=(np.ones((3, 3)) - np.eye(3)) / 2.0)
+    for entry in (source_T, source_jacobian, solve_fixed_point):
+        with pytest.raises(DimensionMismatchError, match="coupling matrix size 3 does not match"):
+            entry(spec, basis, np.ones(8))
 
 
 def test_jacobian_diagonal_value(p8):

@@ -4,36 +4,19 @@ Booleans, integers and strings match exactly. Floats match to a relative
 1e-12, with an absolute floor of 1e-14 for values near 0 (rounding noise,
 such as an entry of |Phi^T A Phi| that is 0 in exact arithmetic). A
 `residual_inf` is checked as below the solve's tol instead: the residual
-at a converged fixed point is rounding noise too. See regen_golden.py for
-the runs and for how to regenerate the table.
+at a converged fixed point is rounding noise too (regen_golden.matches).
+See regen_golden.py for the runs and for how to regenerate the table.
 """
 
 import json
 
-from regen_golden import GOLDEN, collect, flatten
-
-RTOL = 1e-12
-ATOL = 1e-14
-TOL = 1e-12  # the default tol of every golden solve
+from regen_golden import GOLDEN, TOL, collect, flatten, is_number, matches
 
 _MISSING = "(missing)"
 
 
-def _is_number(x) -> bool:
-    return type(x) in (int, float)
-
-
-def _matches(key: str, old, new) -> bool:
-    if key.endswith("residual_inf"):
-        return _is_number(new) and new < TOL
-    if type(old) is float or type(new) is float:
-        return (_is_number(old) and _is_number(new)
-                and abs(new - old) <= max(RTOL * abs(old), ATOL))
-    return type(old) is type(new) and old == new
-
-
 def _rel_change(old, new) -> str:
-    if not (_is_number(old) and _is_number(new)):
+    if not (is_number(old) and is_number(new)):
         return ""
     if old == 0:
         return "inf" if new else "0"
@@ -46,7 +29,7 @@ def test_every_reported_number_matches_the_golden_table(tmp_path):
     rows = [(key, golden.get(key, _MISSING), new.get(key, _MISSING))
             for key in [*golden, *(k for k in new if k not in golden)]]
     rows = [(k, old, val) for k, old, val in rows
-            if old is _MISSING or val is _MISSING or not _matches(k, old, val)]
+            if old is _MISSING or val is _MISSING or not matches(k, old, val)]
     table = [("key", "golden", "new", "relative change")]
     table += [(k, repr(old), repr(val), _rel_change(old, val)) for k, old, val in rows]
     widths = [max(len(row[i]) for row in table) for i in range(4)]

@@ -18,8 +18,10 @@ from kernelfield import (
     eig_symmetric,
     fisher_rao_diag,
     heat_kernel_weights,
+    hessian,
     laplacian,
     materialize_kernel,
+    residual_inf,
     solve_fixed_point,
     source_jacobian,
     source_T,
@@ -280,6 +282,35 @@ def test_a_nan_weight_is_a_domain_error(entry, h, monkeypatch):
     with pytest.raises(DomainError, match="spectral weights must be strictly positive"):
         entry(np.array(h))
     assert steps == []
+
+
+_P8_BASIS = eig_symmetric(laplacian(build_path(8)))
+
+
+def _at_p8(entry):
+    """entry(spec, basis, kernel) on path:8 with a kernel of weights h and reference 1."""
+    return lambda h: entry(SourceSpec(), _P8_BASIS, SpectralKernel(h, np.ones(h.shape)))
+
+
+_LENGTH_ENTRIES = {
+    "source_T": lambda h: source_T(SourceSpec(), _P8_BASIS, h),
+    "source_jacobian": lambda h: source_jacobian(SourceSpec(), _P8_BASIS, h),
+    "solve_fixed_point": lambda h: solve_fixed_point(SourceSpec(), _P8_BASIS, h),
+    "residual_inf": _at_p8(residual_inf),
+    "hessian": _at_p8(hessian),
+    "stability_report": _at_p8(stability_report),
+    "materialize_kernel": lambda h: materialize_kernel(_P8_BASIS, SpectralKernel(h, np.ones(h.shape))),
+    "diagnostics_record": lambda h: diagnostics_record(np.ones(8), h),
+}
+
+
+@pytest.mark.parametrize("entry", _LENGTH_ENTRIES.values(), ids=_LENGTH_ENTRIES.keys())
+@pytest.mark.parametrize("shape", [(1,), (3,), (9,), (8, 1)])
+def test_a_kernel_of_the_wrong_length_is_a_dimension_mismatch(entry, shape):
+    """A length-1 or an 8 x 1 kernel would broadcast against the 8 modes, and
+    the others would fail inside numpy. Each is refused by name."""
+    with pytest.raises(DimensionMismatchError, match="does not match basis size|same length"):
+        entry(np.ones(shape))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -30,7 +30,9 @@ from kernelfield import (
 )
 from kernelfield.experiments import EPS_GRID, SWEEP_TARGETS, solve_graph
 from kernelfield.graph import parse_graph_spec
+from kernelfield.diagnostics import shannon
 from kernelfield.spectral import _jacobi
+from kernelfield.stability import _offdiag_row_entropy
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +194,85 @@ def test_uncoupled_report_needs_no_eigensolve(p8, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     rep = stability_report(spec, p8, h)
     assert rep.stable and rep.eigenvalues[-1] == -rep.hessian_gap
+
+
+def _reference_row_entropy(mat):
+    """_offdiag_row_entropy as it was before the empty-row term ln(N-1) was
+    taken out of the loop: the same terms, added in the same order."""
+    mag = np.abs(mat)
+    n = mag.shape[0]
+    total = 0.0
+    for l in range(n):
+        off = np.delete(mag[l], l)
+        mass = off.sum()
+        if mass == 0:
+            total += np.log(n - 1)
+            continue
+        total += shannon(off / mass)
+    return total / n
+
+
+def _reference_uncoupled_report(basis, hess):
+    """An uncoupled stability report as it was assembled before, reading H's diagonal twice."""
+    eigs = np.sort(np.diag(hess))
+    margins = -np.diag(hess)
+    return StabilityReport(
+        hessian=hess,
+        eigenvalues=eigs,
+        margins=margins,
+        hessian_gap=float(-eigs[-1]),
+        fiedler_gap=float(margins[basis.components:].min()),
+        coupling_entropy=_reference_row_entropy(hess),
+        stable=bool(eigs[-1] < 0),
+    )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _offdiag_matrices(draw):
+    """N in [2, 128]: a diagonal matrix, or a dense one of either sign with some
+    rows' off-diagonal part zeroed (N = 2 has ln(N-1) = 0)."""
+    n = draw(st.integers(2, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    if draw(st.booleans()):
+        return np.diag(np.diag(mat))
+    for l in rng.choice(n, size=draw(st.integers(1, n)), replace=False):
+        mat[l, np.arange(n) != l] = 0.0
+    mat[rng.random((n, n)) < draw(st.floats(0.0, 0.9))] = 0.0  # scattered exact zeros
+    return mat
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_offdiag_matrices())
+def test_row_entropy_matches_the_per_row_reference_bit_for_bit(mat):
+    new, ref = _offdiag_row_entropy(mat), _reference_row_entropy(mat)
+    assert type(new) is type(ref) and float(new).hex() == float(ref).hex()
+
+
+# The param-scan workload's draw: path:N bases, sigma2 log-uniform on
+# [0.1, 10], mu2 uniform on [0, 8], either weight rule, solved from h0 = 1.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 128),
+       st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+       st.floats(0.0, 8.0),
+       st.sampled_from(list(WeightRule)))
+def test_uncoupled_report_matches_the_reference_bit_for_bit(n, sigma2, mu2, rule):
+    basis = _path_basis(n)
+    spec = SourceSpec(sigma2=sigma2, mu2=mu2, weight_rule=rule)
+    kernel = solve_fixed_point(spec, basis, np.ones(n)).h_star
+    rep = stability_report(spec, basis, kernel)
+    ref = _reference_uncoupled_report(basis, hessian(spec, basis, kernel))
+    for name in ("hessian", "eigenvalues", "margins", "hessian_gap", "fiedler_gap",
+                 "coupling_entropy", "stable"):
+        assert _same_bits(getattr(rep, name), getattr(ref, name)), name
+        assert type(getattr(rep, name)) is type(getattr(ref, name)), name
+    assert np.count_nonzero(rep.hessian + np.diag(rep.margins)) == 0  # every row is empty
+    assert rep.to_json().encode() == ref.to_json().encode()
 
 
 def _coupled_row(g, u, v, eps):
