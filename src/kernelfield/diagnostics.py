@@ -46,6 +46,8 @@ def shannon(p: np.ndarray) -> float:
 def spectral_entropy(h: np.ndarray) -> float:
     """Shannon entropy (nats) of the normalized weight vector; a share that underflows drops out."""
     h = np.asarray(h, dtype=float)
+    if h.ndim != 1:
+        raise DimensionMismatchError(f"expected a vector of weights, got shape {h.shape}")
     check_positive(h)
     return shannon(h / h.sum())
 

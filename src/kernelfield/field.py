@@ -4,7 +4,8 @@ A self-consistent kernel solves R[h] = T[h] per mode, equivalently the
 fixed point h_l = h0_l * exp(-1 - T_l[h]). The geometric response is
 diagonal in the eigenbasis; any inter-mode structure enters through the
 source's coupling term. With mu2 = 0 the fixed point is the vacuum h0 / e
-(experiments.run_exp3 checks it through solve_fixed_point).
+(experiments.run_exp3 checks it through solve_fixed_point). Public functions
+check their operands; the solve's loop does not re-check the iterates it makes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class SourceSpec:
     matrix C must be square, nonnegative with zero diagonal and rows summing
     to 1 (or to 0 for empty rows); eta is zero exactly when no coupling
     matrix is supplied. Its size is checked against a basis where the two
-    first meet, in source_T and source_jacobian.
+    first meet: in source_T, source_jacobian and solve_fixed_point's entry.
     """
 
     sigma2: float = 1.0
@@ -148,6 +149,14 @@ def _check_operands(spec: SourceSpec, basis: EigenBasis, h: np.ndarray):
                                      f"basis size {basis.n}")
 
 
+def _source_T(spec: SourceSpec, mu2_w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """source_T's formula from mu2_w = spec.mu2 * mode_weights(spec, basis), h unchecked."""
+    t = mu2_w / (2.0 * (spec.sigma2 + h))
+    if spec.coupling is not None:
+        t = t + spec.eta * (spec.coupling @ h)
+    return t
+
+
 def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
     """Per-mode source T_l[h], including the optional coupling term.
 
@@ -156,10 +165,7 @@ def source_T(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
         DomainError: h not strictly positive.
     """
     _check_operands(spec, basis, h)
-    t = spec.mu2 * mode_weights(spec, basis) / (2.0 * (spec.sigma2 + h))
-    if spec.coupling is not None:
-        t = t + spec.eta * (spec.coupling @ h)
-    return t
+    return _source_T(spec, spec.mu2 * mode_weights(spec, basis), h)
 
 
 def _mi_slopes(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
@@ -231,7 +237,7 @@ def solve_fixed_point(
     Raises:
         DimensionMismatchError: h0 or the coupling matrix does not match basis.n.
         DomainError: h0 not strictly positive, tol not finite and positive,
-            or max_iter < 1.
+            max_iter < 1, or an iterate h0 * exp(u) underflows to 0.
         NumericalError: exp argument out of the binary64 range.
     """
     h0 = np.asarray(h0, dtype=float)
@@ -244,8 +250,9 @@ def solve_fixed_point(
     # Newton runs while the residual is below newton_below: sqrt(tol) at first, then the
     # residual its last step started from, and 0 once a Newton step failed.
     newton_below = math.sqrt(tol)
+    mu2_w = spec.mu2 * mode_weights(spec, basis)
     for iterations in range(1, max_iter + 1):
-        u_next = -1.0 - source_T(spec, basis, h)
+        u_next = -1.0 - _source_T(spec, mu2_w, h)
         if (np.abs(u_next) > _EXP_GUARD).any():
             raise NumericalError("exp argument out of range in fixed-point map")
         # u = ln(h / h0), so the step u_next - u is R - T at h.
@@ -258,6 +265,8 @@ def solve_fixed_point(
         elif newton_below < math.sqrt(tol):  # the last Newton step did not lower the residual
             newton_below = 0.0
         u, h = u_next, h0 * np.exp(u_next)
+        if not h.min() > 0:  # h0 was checked at entry: exp(u) underflowed to 0, or h is NaN
+            raise DomainError("spectral weights must be strictly positive")
     # diag(h) J is similar to the map's Jacobian in u, and diagonal when uncoupled.
     if spec.coupling is None:
         eigs = h * _mi_slopes(spec, basis, h)

@@ -115,14 +115,15 @@ def check_length(h: np.ndarray, n: int):
 
 @dataclass(frozen=True)
 class SpectralKernel:
-    """Positive spectral weights h with a positive reference h0."""
+    """Positive spectral weights h with a positive reference h0, vectors of one length."""
 
     h: np.ndarray
     h0: np.ndarray
 
     def __post_init__(self):
-        if self.h.shape != self.h0.shape:
-            raise DimensionMismatchError("h and h0 must have the same length")
+        if self.h.ndim != 1 or self.h.shape != self.h0.shape:
+            raise DimensionMismatchError(f"h and h0 must be vectors of the same length, "
+                                         f"got shapes {self.h.shape} and {self.h0.shape}")
         check_positive(self.h)
         check_positive(self.h0)
 

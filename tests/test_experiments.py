@@ -36,16 +36,21 @@ def test_exp3_vacuum_and_geodesics():
     assert m["isometry_error"] <= 1e-12
 
 
-# Each mutant maps the original function to its broken twin.
+# Each mutant maps the original function to its broken twin. field._source_T is T's formula,
+# which both source_T and solve_fixed_point's loop evaluate.
 @pytest.mark.parametrize("module, name, mutant", [
     (ex, "fisher_rao_diag", lambda fisher_rao_diag: lambda h: 1.0 / (2.0 * h)),
-    (ex.field, "source_T", lambda source_T: lambda *args: source_T(*args) + 1.0),
+    (ex.field, "_source_T", lambda source_T: lambda *args: source_T(*args) + 1.0),
 ], ids=["fisher-rao-1-over-2h", "source-T-plus-1"])
 def test_exp3_fails_under_a_mutant(monkeypatch, module, name, mutant):
     """exp3 runs the metric and the solver it checks: a wrong metric moves the
-    geodesic length off ||b|| / sqrt 2, and a source T + 1 moves the vacuum to h0 / e^2."""
-    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    geodesic length off ||b|| / sqrt 2, and a source T + 1 moves the vacuum to h0 / e^2.
+    The spy records each call, so a mutant that exp3 never reaches cannot pass unseen."""
+    calls = []
+    broken = mutant(getattr(module, name))
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or broken(*args))
     assert not ex.run_exp3().passed
+    assert calls
 
 
 def test_exp4_stability():

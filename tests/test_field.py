@@ -218,6 +218,26 @@ def test_fixed_point_nonconvergence_reported(p8):
     _assert_reports_its_own_residual(spec, basis, report, 1e-12)
 
 
+def test_a_solve_checks_its_operands_a_fixed_number_of_times(monkeypatch):
+    """The solve checks h0 at its entry and the loop does not re-check the iterates it makes,
+    so 3 and 200 iterations call field's checks equally often. At sigma2 = 0.005, mu2 = 0.28
+    on path:8 (near the fold) Picard is slow, and tol = 1e-300 keeps Newton off."""
+    basis, _ = _basis_and_coupling("path:8", False)
+    spec = SourceSpec(sigma2=0.005, mu2=0.28)
+    calls = []
+    for name in ("check_positive", "check_length"):
+        check = getattr(field, name)
+        monkeypatch.setattr(field, name,
+                            lambda *args, name=name, check=check: calls.append(name) or check(*args))
+    counts = []
+    for max_iter, tol in ((3, 1e-12), (200, 1e-300)):
+        calls.clear()
+        assert solve_fixed_point(spec, basis, np.ones(8), tol, max_iter).iterations == max_iter
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"check_length", "check_positive"}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.sampled_from([8, 16]),
        sigma2=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
@@ -317,7 +337,8 @@ def _basis_and_coupling(spec, coupled):
 # Draws as param-scan makes them (path graphs, both weight rules, sigma2 log-uniform on
 # [0.1, 10], mu2 uniform on [0, 8], h0 = 1), plus other constant h0 and coupled sources on
 # path:8 and trunk:4,3,3, whose eigenvectors are cheap. The examples take both error paths:
-# the exp guard, and an iterate that underflows to 0.
+# the exp guard, and an iterate that underflows to 0, once where the next T, T(0) = 1390,
+# would trip the exp guard: the underflow must be caught first.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=st.tuples(st.integers(2, 128).map("path:{}".format), st.just(0.0))
        | st.tuples(st.sampled_from(["path:8", "trunk:4,3,3"]),
@@ -332,6 +353,8 @@ def _basis_and_coupling(spec, coupled):
          h0=1e-3)
 @example(case=("path:16", 0.0), sigma2=1.0, mu2=2.0, rule=WeightRule.EIGENVALUE, max_iter=200,
          h0=5e-324)
+@example(case=("path:8", 0.0), sigma2=1e-30, mu2=2.78e-27, rule=WeightRule.UNIFORM, max_iter=200,
+         h0=1e-30)
 def test_solve_matches_the_reference_loop(case, sigma2, mu2, rule, max_iter, h0):
     graph, eta = case
     basis, coupling = _basis_and_coupling(graph, eta > 0)

@@ -273,12 +273,26 @@ _NAN_ENTRIES = {
 }
 
 
+def _spy_on_T(monkeypatch) -> list:
+    """Record each evaluation of field._source_T, T's formula behind source_T and the solve."""
+    steps = []
+    source_T = field._source_T
+    monkeypatch.setattr(field, "_source_T", lambda *args: steps.append(args) or source_T(*args))
+    return steps
+
+
+def test_the_T_spy_sees_each_step_of_a_valid_solve(monkeypatch):
+    steps = _spy_on_T(monkeypatch)
+    report = solve_fixed_point(SourceSpec(), _P2_BASIS, np.ones(2))
+    assert report.converged
+    assert len(steps) == report.iterations > 1
+
+
 @pytest.mark.parametrize("entry", _NAN_ENTRIES.values(), ids=_NAN_ENTRIES.keys())
 @pytest.mark.parametrize("h", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
 def test_a_nan_weight_is_a_domain_error(entry, h, monkeypatch):
-    """NaN is not strictly positive; a solve refuses its h0 before the first step."""
-    steps = []
-    monkeypatch.setattr(field, "source_T", lambda *args: steps.append(args))
+    """NaN is not strictly positive; source_T and a solve refuse it before T is evaluated."""
+    steps = _spy_on_T(monkeypatch)
     with pytest.raises(DomainError, match="spectral weights must be strictly positive"):
         entry(np.array(h))
     assert steps == []
@@ -311,6 +325,18 @@ def test_a_kernel_of_the_wrong_length_is_a_dimension_mismatch(entry, shape):
     the others would fail inside numpy. Each is refused by name."""
     with pytest.raises(DimensionMismatchError, match="does not match basis size|same length"):
         entry(np.ones(shape))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: SpectralKernel(np.ones((8, 1)), np.ones((8, 1))),
+    lambda: SpectralKernel(np.ones(()), np.ones(())),
+    lambda: spectral_entropy(np.ones((2, 2))),
+], ids=["kernel-8x1", "kernel-0d", "entropy-2x2"])
+def test_weights_that_are_not_a_vector_are_a_dimension_mismatch(entry):
+    """Spectral weights are one per mode: a column or a scalar is no kernel, and a 2 x 2
+    array is not four weights."""
+    with pytest.raises(DimensionMismatchError, match="vector"):
+        entry()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
