@@ -14,11 +14,12 @@ rotates A's rows and V's columns at once; since A stays exactly symmetric,
 A's new rows are also its new columns off the rotated 2x2 block, and the
 sweep is bit-identical to the textbook loop that rotates columns, then
 rows, then V (see _jacobi). Each rotation's angle is computed in Python
-floats with the C library's hypot, as np.hypot computes it. The Jacobi
-stays because the coupled outputs read the eigenvectors, which are not
-unique where an eigenvalue repeats: until the basis is made canonical on
-such subspaces, another solver would change those numbers. Its
-NumericalError therefore comes from reading vectors.
+floats with the C library's hypot, as np.hypot computes it, and reaches the
+row ufuncs as 0-d float64 operands, which spare numpy converting a Python
+float on every call. The Jacobi stays because the coupled outputs read the
+eigenvectors, which are not unique where an eigenvalue repeats: until the
+basis is made canonical on such subspaces, another solver would change
+those numbers. Its NumericalError therefore comes from reading vectors.
 An eigenvector's sign is not fixed here; every reader but eigenbasis.csv
 is invariant under flipping a column, and that file applies its own sign
 convention.
@@ -44,6 +45,7 @@ from .errors import DimensionMismatchError, DomainError, InvalidMatrixError, Num
 
 _OFFDIAG_TOL = 1e-12
 _MAX_SWEEPS = 100
+_MAX_ENTRY = float(np.finfo(np.float64).max) / 2.0  # mat + mat.T and mat - mat.T stay finite
 
 
 @dataclass(frozen=True)
@@ -146,23 +148,32 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reads the column rotation's output, is set from scalars with the
     textbook's two steps. The result is bit-identical to the textbook loop.
     The angle is computed in Python floats with the C library's hypot, which
-    np.hypot calls too, and the two rows turn in five in-place numpy calls.
+    np.hypot calls too. The two rows turn in six numpy calls with preallocated
+    outputs: s row_p and s row_q into two buffers, then four in place. c and s
+    enter them as 0-d float64 arrays, set through memoryviews, because a
+    Python float operand costs each call a conversion, about 0.25 us on a
+    128-element row. Scalars of w go through a memoryview too, which is
+    cheaper than w.item and w[p, q] = x.
     """
     n = a.shape[0]
     w = np.hstack((a, np.eye(n)))
     mat = w[:, :n]
-    rows, cols = list(w), list(mat.T)  # views: row l of w, column l of A
+    rows, heads, cols = list(w), list(mat), list(mat.T)  # views: row l of w, of A, column l of A
+    wv = memoryview(w)  # scalar reads and writes of w as Python floats
+    c_op, s_op = np.empty(()), np.empty(())  # c and s as 0-d float64 ufunc operands
+    c_set, s_set = memoryview(c_op), memoryview(s_op)
+    s_row_p, s_row_q = np.empty(2 * n), np.empty(2 * n)
     for _ in range(_MAX_SWEEPS):
         off = np.sqrt((np.tril(mat, -1) ** 2).sum() * 2.0)
         if off <= _OFFDIAG_TOL:
             break
         for p in range(n - 1):
-            row_p = rows[p]
+            row_p, head_p, col_p = rows[p], heads[p], cols[p]
             for q in range(p + 1, n):
-                apq = w.item(p, q)
+                apq = wv[p, q]
                 if apq == 0.0:
                     continue
-                app, aqq = w.item(p, p), w.item(q, q)
+                app, aqq = wv[p, p], wv[q, q]
                 diff = aqq - app
                 if abs(apq) < 1e-150 * abs(diff):
                     t = apq / diff  # negligible angle; theta itself would overflow
@@ -176,32 +187,37 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 c = 1.0 / abs(complex(t, 1.0))
                 s = t * c
                 # Rows p, q of w become c row_p - s row_q and c row_q + s row_p.
+                c_set[()], s_set[()] = c, s
                 row_q = rows[q]
-                s_row_p = s * row_p
-                row_p *= c
-                row_p -= s * row_q
-                row_q *= c
+                np.multiply(s_op, row_p, out=s_row_p)
+                np.multiply(s_op, row_q, out=s_row_q)
+                row_p *= c_op
+                row_p -= s_row_q
+                row_q *= c_op
                 row_q += s_row_p
-                cols[p][:] = row_p[:n]
-                cols[q][:] = row_q[:n]
+                col_p[...] = head_p
+                cols[q][...] = heads[q]
                 # The block: the column rotation's 2x2, then the row rotation's.
                 bpp, bpq = c * app - s * apq, s * app + c * apq
                 bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
-                w[p, p] = c * bpp - s * bqp
-                w[q, q] = s * bpq + c * bqq
-                w[p, q] = w[q, p] = 0.0
+                wv[p, p] = c * bpp - s * bqp
+                wv[q, q] = s * bpq + c * bqq
+                wv[p, q] = wv[q, p] = 0.0
     else:
         raise NumericalError(f"Jacobi sweep did not converge in {_MAX_SWEEPS} sweeps")
     return w.diagonal().copy(), w[:, n:].T.copy()
 
 
 def _symmetrized(mat) -> np.ndarray:
-    """(mat + mat^T) / 2 of a checked real square matrix."""
+    """(mat + mat^T) / 2 of a checked real non-empty square matrix."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidMatrixError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise InvalidMatrixError(f"expected a non-empty square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise InvalidMatrixError("matrix has a non-finite entry")
+    if np.abs(mat).max() > _MAX_ENTRY:
+        raise InvalidMatrixError(f"matrix has an entry of magnitude above {_MAX_ENTRY!r}, "
+                                 f"half the largest float, where symmetrizing overflows")
     if np.abs(mat - mat.T).max() > 1e-9:
         raise InvalidMatrixError("matrix is not symmetric")
     return (mat + mat.T) / 2.0
@@ -241,8 +257,8 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     produced.
 
     Raises:
-        InvalidMatrixError: not square, a non-finite entry, or asymmetry
-            above 1e-9.
+        InvalidMatrixError: not square, empty, a non-finite entry, an entry
+            above half the largest float, or asymmetry above 1e-9.
     """
     sym = _symmetrized(mat)
     sym.setflags(write=False)
@@ -263,9 +279,13 @@ def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:
 
 
 def heat_kernel_weights(basis: EigenBasis, tau: float) -> SpectralKernel:
-    """Heat-kernel transfer function h_l = exp(-lambda_l * tau), reference all-ones."""
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    """Heat-kernel transfer function h_l = exp(-lambda_l * tau), reference all-ones.
+
+    Raises:
+        DomainError: tau is not positive and finite.
+    """
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     return SpectralKernel(np.exp(-basis.lambdas * tau), np.ones(basis.n))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +189,38 @@ def test_rejects_non_finite():
         eig_symmetric(np.array([[np.nan]]))
     with pytest.raises(InvalidMatrixError, match="non-finite"):
         eig_symmetric(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
+
+
+def test_rejects_an_empty_matrix():
+    with pytest.raises(InvalidMatrixError, match="non-empty square"):
+        eig_symmetric(np.zeros((0, 0)))
+
+
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
+
+@pytest.mark.parametrize("mat", [
+    [[1e308, -1e308], [-1e308, 1e308]],  # mat + mat.T overflows
+    [[0.0, 9e307], [-9e307, 0.0]],  # mat - mat.T overflows
+    [[np.nextafter(_HALF_MAX, np.inf)]],  # the smallest entry above the bound
+])
+def test_rejects_entries_whose_symmetrization_overflows(mat):
+    """Each matrix is finite, and without the magnitude check symmetrizing it
+    overflows with a RuntimeWarning (an error under the test suite's filter);
+    the message names the bound."""
+    with pytest.raises(InvalidMatrixError, match=re.escape(repr(_HALF_MAX))):
+        eig_symmetric(np.array(mat))
+
+
+def test_an_entry_at_the_overflow_bound_is_accepted():
+    basis = eig_symmetric(np.diag([_HALF_MAX, -_HALF_MAX]))
+    assert basis.lambdas.tolist() == [-_HALF_MAX, _HALF_MAX]
+
+
+@pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0, -1.0, -np.inf])
+def test_heat_kernel_rejects_a_tau_not_positive_and_finite(p8_basis, tau):
+    with pytest.raises(DomainError, match="tau must be positive and finite"):
+        heat_kernel_weights(p8_basis, tau)
 
 
 def test_materialize_identity(p8_basis):
