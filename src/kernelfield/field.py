@@ -44,10 +44,11 @@ class SourceSpec:
     T_l[h] = mu2 * w_l / (2 * (sigma2 + h_l)) + eta * (C h)_l
 
     sigma2 lies in (0, MAX_SIGMA2] and mu2 in [0, MAX_MU2]. The coupling
-    matrix C must be square, nonnegative with zero diagonal and rows summing
-    to 1 (or to 0 for empty rows); eta is zero exactly when no coupling
-    matrix is supplied. Its size is checked against a basis where the two
-    first meet: in source_T, source_jacobian and solve_fixed_point's entry.
+    matrix C must be square, nonnegative with zero diagonal, symmetric bit
+    for bit and of spectral radius at most 1 + 1e-12, as build_coupling's
+    is; eta is zero exactly when no coupling matrix is supplied. Its size is
+    checked against a basis where the two first meet: in source_T,
+    source_jacobian and solve_fixed_point's entry.
     """
 
     sigma2: float = 1.0
@@ -72,13 +73,12 @@ class SourceSpec:
             c = self.coupling
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise DimensionMismatchError(f"coupling matrix must be square, got shape {c.shape}")
-            if (c < 0).any():
-                raise DomainError("coupling matrix must be nonnegative")
-            if np.abs(np.diag(c)).max() != 0:
-                raise DomainError("coupling matrix must have zero diagonal")
-            sums = c.sum(axis=1)
-            if not ((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0)).all():
-                raise DomainError("coupling rows must sum to 1 or be empty")
+            if not np.isfinite(c).all() or (c < 0).any() or np.diag(c).any():
+                raise DomainError("coupling matrix must be finite, nonnegative and zero-diagonal")
+            if not np.array_equal(c, c.T):
+                raise DomainError("coupling matrix must be symmetric")
+            if not np.abs(np.linalg.eigvalsh(c)).max() <= 1.0 + 1e-12:
+                raise DomainError("coupling matrix must have spectral radius at most 1")
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class FixedPointReport:
     residual_inf is max|R - T| at h_star, and converged is residual_inf < tol.
     iterations counts evaluations of T, one per Picard or Newton step, and
     h_star is the last iterate, whichever step made it. contraction_ratio is
-    Picard's local rate at h_star: the spectral radius of diag(h_star) J,
-    which is similar to J diag(h_star), the Jacobian of the map in
-    u = ln(h / h0) up to sign. It depends on h_star alone, not on the
-    iterates.
+    Picard's local rate at h_star: the spectral radius of diag(h) J, h =
+    h_star, which is similar to J diag(h), the Jacobian of the map in
+    u = ln(h / h0) up to sign, and to the symmetric diag(h)^1/2 J diag(h)^1/2.
+    It depends on h_star alone, not on the iterates.
     """
 
     h_star: SpectralKernel
@@ -121,23 +121,25 @@ def build_coupling(basis: EigenBasis) -> np.ndarray:
     """Inter-mode coupling matrix from the weighted adjacency A = diag(diag(L)) - L
     of the Laplacian L the basis keeps, over basis.scale.
 
-    C = |Phi^T A Phi| with the diagonal zeroed, then rows normalized to
-    sum 1; rows with off-diagonal mass below 1e-14 (relative to the heaviest
-    edge, by the scale) stay zero. The absolute value keeps entries
-    nonnegative so they can serve as entropy weights.
+    B = |Phi^T A Phi| made symmetric bit for bit as (B + B^T) / 2, diagonal
+    zeroed; a row with off-diagonal mass at most 1e-14 (relative to the
+    heaviest edge, by the scale) is zeroed with its column. C is that over
+    its Perron root, its largest eigenvalue, so rho(C) = 1 unless C is 0.
+    The absolute value keeps entries nonnegative as entropy weights; the
+    symmetry makes eta C h the gradient of (eta / 2) h^T C h.
 
     Raises:
         NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
     lap = basis.matrix / basis.scale
     phi = basis.vectors
-    c = np.abs(phi.T @ (np.diag(np.diag(lap)) - lap) @ phi)
+    b = np.abs(phi.T @ (np.diag(np.diag(lap)) - lap) @ phi)
+    c = (b + b.T) / 2.0
     np.fill_diagonal(c, 0.0)
-    sums = c.sum(axis=1)
-    keep = sums > 1e-14
-    c[keep] /= sums[keep, None]
-    c[~keep] = 0.0
-    return c
+    empty = c.sum(axis=1) <= 1e-14
+    c[empty] = c[:, empty] = 0.0
+    perron = np.linalg.eigvalsh(c)[-1]
+    return c / perron if perron > 0 else c
 
 
 def _check_operands(spec: SourceSpec, basis: EigenBasis, h: np.ndarray):
@@ -267,11 +269,11 @@ def solve_fixed_point(
         u, h = u_next, h0 * np.exp(u_next)
         if not h.min() > 0:  # h0 was checked at entry: exp(u) underflowed to 0, or h is NaN
             raise DomainError("spectral weights must be strictly positive")
-    # diag(h) J is similar to the map's Jacobian in u, and diagonal when uncoupled.
-    if spec.coupling is None:
+    if spec.coupling is None:  # diag(h) J is diagonal; see FixedPointReport
         eigs = h * _mi_slopes(spec, basis, h)
     else:
-        eigs = np.linalg.eigvals(h[:, None] * source_jacobian(spec, basis, h))
+        root_h = np.sqrt(h)
+        eigs = np.linalg.eigvalsh(np.outer(root_h, root_h) * source_jacobian(spec, basis, h))
     return FixedPointReport(
         h_star=SpectralKernel(h, h0),
         iterations=iterations,

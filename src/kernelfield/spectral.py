@@ -1,28 +1,22 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
-Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh): the Laplacian
-spectrum here, a coupled stability Hessian's in stability (an uncoupled
-one is diagonal: its spectrum is its sorted diagonal). eig_symmetric is the
-one basis constructor. It computes the eigenvalues at once and the
-eigenvector columns on the first read of EigenBasis.vectors, since the
-uncoupled field equation, its Hessian and the spectral entropy depend on
-the eigenvalues alone. The columns come from a cyclic Jacobi sweep:
-deterministic, and accurate well past the 1e-9 residual budget at the
-matrix sizes used here. It keeps A and V in one n x 2n array whose row l is
-row l of A beside column l of V, so one in-place rotation of two rows
-rotates A's rows and V's columns at once; since A stays exactly symmetric,
-A's new rows are also its new columns off the rotated 2x2 block, and the
-sweep is bit-identical to the textbook loop that rotates columns, then
-rows, then V (see _jacobi). Each rotation's angle is computed in Python
-floats with the C library's hypot, as np.hypot computes it, and reaches the
-row ufuncs as 0-d float64 operands, which spare numpy converting a Python
-float on every call. The Jacobi stays because the coupled outputs read the
-eigenvectors, which are not unique where an eigenvalue repeats: until the
-basis is made canonical on such subspaces, another solver would change
-those numbers. Its NumericalError therefore comes from reading vectors.
-An eigenvector's sign is not fixed here; every reader but eigenbasis.csv
-is invariant under flipping a column, and that file applies its own sign
-convention.
+Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh), since every
+matrix kernelfield decomposes is symmetric: the Laplacian spectrum here,
+the coupling's Perron root and the coupled contraction rate in field, and a
+coupled Hessian's spectrum in stability (an uncoupled one is diagonal: its
+spectrum is its sorted diagonal). eig_symmetric is the one basis
+constructor. It computes the eigenvalues at once and the eigenvector
+columns on the first read of EigenBasis.vectors, since the uncoupled field
+equation, its Hessian and the spectral entropy depend on the eigenvalues
+alone. The columns come from a cyclic Jacobi sweep (see _jacobi):
+deterministic, bit-identical to the textbook loop, and accurate well past
+the 1e-9 residual budget at the matrix sizes used here. The Jacobi stays
+because the coupled outputs read the eigenvectors, which are not unique
+where an eigenvalue repeats: until the basis is made canonical on such
+subspaces, another solver would change those numbers. Its NumericalError
+therefore comes from reading vectors. An eigenvector's sign is not fixed
+here; every reader but eigenbasis.csv is invariant under flipping a
+column, and that file applies its own sign convention.
 
 The absolute tolerances here (the bottom-eigenvalue clamp and the Jacobi's
 stop) and build_coupling's empty-row test act on the kept matrix divided by
@@ -45,7 +39,8 @@ from .errors import DimensionMismatchError, DomainError, InvalidMatrixError, Num
 
 _OFFDIAG_TOL = 1e-12
 _MAX_SWEEPS = 100
-_MAX_ENTRY = float(np.finfo(np.float64).max) / 2.0  # mat + mat.T and mat - mat.T stay finite
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+_MAX_ENTRY = _MAX_FLOAT / 2.0  # mat + mat.T and mat - mat.T stay finite
 
 
 @dataclass(frozen=True)
@@ -235,11 +230,13 @@ def _scale(sym: np.ndarray) -> float:
 
 
 def _eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
-    """scale times LAPACK's ascending eigenvalues of sym / scale, a bottom one of
-    these in [-1e-10, 1e-10] set to 0, read-only."""
+    """scale times LAPACK's ascending eigenvalues of sym / scale, read-only; a bottom
+    one in [-1e-10, 1e-10] is set to 0, and one beyond binary64 is an InvalidMatrixError."""
     lam = np.linalg.eigvalsh(sym / scale)
     if abs(lam[0]) < 1e-10:
         lam[0] = 0.0
+    if not np.abs(lam).max() <= _MAX_FLOAT / scale:  # exact, or inf: scale is a power of 2
+        raise InvalidMatrixError("matrix has an eigenvalue beyond the binary64 range")
     lam *= scale
     lam.setflags(write=False)
     return lam
@@ -253,12 +250,11 @@ def eig_symmetric(mat: np.ndarray) -> EigenBasis:
     1e-10 * scale of 0 is clamped to exactly 0 so eigenvalue-derived mode
     weights stay sign-clean. The eigenvector columns come from the cyclic
     Jacobi sweep when vectors is first read, so that read may raise the
-    sweep's NumericalError. Each eigenvector's sign is whatever the sweep
-    produced.
+    sweep's NumericalError.
 
     Raises:
-        InvalidMatrixError: not square, empty, a non-finite entry, an entry
-            above half the largest float, or asymmetry above 1e-9.
+        InvalidMatrixError: not square, empty, a non-finite entry, an entry above half
+            the largest float, asymmetry above 1e-9, or an eigenvalue beyond binary64.
     """
     sym = _symmetrized(mat)
     sym.setflags(write=False)
@@ -282,11 +278,15 @@ def heat_kernel_weights(basis: EigenBasis, tau: float) -> SpectralKernel:
     """Heat-kernel transfer function h_l = exp(-lambda_l * tau), reference all-ones.
 
     Raises:
-        DomainError: tau is not positive and finite.
+        DomainError: tau is not positive and finite, or underflows a weight to 0.
     """
     if not 0 < tau < math.inf:
         raise DomainError(f"tau must be positive and finite, got {tau}")
-    return SpectralKernel(np.exp(-basis.lambdas * tau), np.ones(basis.n))
+    h = np.exp(-basis.lambdas * tau)
+    if not h[-1] > 0:  # the lambdas ascend, so the last weight is the least
+        raise DomainError(f"tau = {tau!r} underflows exp(-lambda tau) to 0 at the largest "
+                          f"eigenvalue lambda = {float(basis.lambdas[-1])!r}")
+    return SpectralKernel(h, np.ones(basis.n))
 
 
 def eigenbasis_to_csv(basis: EigenBasis) -> str:

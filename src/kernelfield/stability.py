@@ -1,18 +1,17 @@
 """Second-order structure at a kernel: Hessian, stability margins, gaps,
 and the inter-mode coupling entropy.
 
-The Hessian H_lm = -delta_lm / h_l - J_lm can be asymmetric when the
-source couples modes through a non-symmetric C. The quadratic form only
-sees the symmetric part, so the definiteness verdict (and the gap Delta)
-are computed from the spectrum of (H + H^T) / 2. With no coupling H is
-diagonal (the paper's Hessian corollary: stability is judged mode by
-mode), and that spectrum is its sorted diagonal, which is what LAPACK
-returns for a diagonal matrix, bit for bit. A coupled H takes LAPACK
-(numpy.linalg.eigvalsh) like the Laplacian spectrum, but without
-spectral's bottom-eigenvalue clamp, which is a Laplacian convention. The
-Fiedler-mode gap Delta' uses the raw diagonal entries over the nonzero
-modes. Which modes are zero is structural, not a tolerance: a Laplacian
-has one zero mode per connected component (EigenBasis.components).
+The Hessian H_lm = -delta_lm / h_l - J_lm is the second derivative of the
+functional whose gradient is R - T. J is diagonal plus eta*C, and
+SourceSpec holds C symmetric, so H is symmetric bit for bit; its spectrum
+gives the definiteness verdict and the gap Delta. With no coupling H is
+diagonal (the paper's Hessian corollary: stability is judged mode by mode),
+so its spectrum is its sorted diagonal, bit for bit what LAPACK returns. A
+coupled H takes numpy.linalg.eigvalsh, without spectral's bottom-eigenvalue
+clamp, which is a Laplacian convention. The Fiedler-mode gap Delta' uses
+the raw diagonal entries over the nonzero modes. Which modes are zero is
+structural, not a tolerance: a Laplacian has one zero mode per connected
+component (EigenBasis.components).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .spectral import EigenBasis, SpectralKernel
 class StabilityReport:
     """Full stability diagnostics at one kernel.
 
-    `eigenvalues` are those of the symmetrized Hessian, ascending; the JSON
-    key `symmetrized` records that convention.
+    `eigenvalues` are those of the symmetric Hessian, ascending. The JSON
+    key `symmetrized`, always true, stays for the artifact format.
     """
 
     hessian: np.ndarray
@@ -93,7 +92,7 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     One Jacobian, and one symmetric eigenvalue solve when the source is
     coupled (uncoupled, the spectrum is H's sorted diagonal): the margins are
     J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
-    the gap Delta is -max eig sym(H), and the coupling entropy is read off
+    the gap Delta is -max eig H, and the coupling entropy is read off
     H because off the diagonal |H_lm| = |J_lm|. Delta' skips the first
     basis.components modes, the Laplacian's zero modes.
 
@@ -103,10 +102,7 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     """
     hess = hessian(spec, basis, kernel)
     diag = np.diag(hess)
-    if spec.coupling is None:
-        eigs = np.sort(diag)
-    else:
-        eigs = np.linalg.eigvalsh((hess + hess.T) / 2.0)
+    eigs = np.sort(diag) if spec.coupling is None else np.linalg.eigvalsh(hess)
     margins = -diag
     nonzero_margins = margins[basis.components:]
     if not nonzero_margins.size:

@@ -18,6 +18,10 @@
    numpy's hypot and abs(complex(x, y)) call, in the last bit on some
    inputs, so it would break the Jacobi's bit-identity with its textbook
    reference.
+6. No module calls np.linalg.eig or np.linalg.eigvals: every matrix the
+   package decomposes (a Laplacian, the coupling matrix, a stability
+   Hessian, the symmetrized Jacobian of the fixed-point map) is symmetric,
+   so np.linalg.eigvalsh applies.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ BENCH = {path.stem: ast.parse(path.read_text(), str(path))
 
 _OS_WRITES = {"replace", "rename", "makedirs", "mkdir", "remove", "unlink", "rmdir"}
 _NP_REDUCTIONS = {"any", "all", "max", "min", "sum"}
+_GENERAL_EIGENSOLVERS = {"eig", "eigvals"}
 
 
 def _imports_private(tree: ast.Module) -> list[str]:
@@ -74,12 +79,22 @@ def _writers(name: str, tree: ast.Module) -> set[str]:
     return found
 
 
+def _dotted(node: ast.AST) -> str:
+    """The dotted name a Name or a chain of Attributes reads, such as "np.linalg"; "" otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
 def _calls(name: str, tree: ast.Module, module: str, attrs: set[str]) -> list[str]:
-    """Calls module.attr, attr in attrs, in module name, as "name:line module.attr"."""
+    """Calls module.attr, attr in attrs, in module name, as "name:line module.attr";
+    module may be dotted, such as "np.linalg"."""
     return [f"{name}:{node.lineno} {module}.{node.func.attr}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == module
-            and node.func.attr in attrs]
+            and _dotted(node.func.value) == module and node.func.attr in attrs]
 
 
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -143,6 +158,11 @@ def test_no_module_calls_math_hypot():
             for call in _calls(name, tree, "math", {"hypot"})] == []
 
 
+def test_no_module_calls_a_general_eigensolver():
+    assert [call for name, tree in MODULES.items()
+            for call in _calls(name, tree, "np.linalg", _GENERAL_EIGENSOLVERS)] == []
+
+
 def test_the_rules_see_what_they_forbid():
     tree = ast.parse("from .experiments import _write_atomic\n"
                      "def save(p):\n    with open(p, 'w') as fh:\n        os.makedirs(p)\n"
@@ -157,6 +177,11 @@ def test_the_rules_see_what_they_forbid():
     # math.hypot is a call through math; np.hypot and abs(complex(...)) are not.
     tree = ast.parse("a = math.hypot(t, 1.0)\nb = np.hypot(t, 1.0)\nc = abs(complex(t, 1.0))\n")
     assert _calls("m", tree, "math", {"hypot"}) == ["m:1 math.hypot"]
+    # np.linalg.eig and eigvals are calls through np.linalg; eigvalsh and eigh are not.
+    tree = ast.parse("a = np.linalg.eig(m)\nb = np.linalg.eigvalsh(m)\nc = np.linalg.eigvals(m)\n"
+                     "d = np.linalg.eigh(m)\ne = linalg.eigvals(m)\n")
+    assert _calls("m", tree, "np.linalg", _GENERAL_EIGENSOLVERS) == ["m:1 np.linalg.eig",
+                                                                   "m:3 np.linalg.eigvals"]
     # recurse only calls itself, and __init__'s export of orphan is not a use.
     modules = {"m": ast.parse("def recurse(n):\n    return recurse(n - 1)\n"
                               "def orphan():\n    pass\n"

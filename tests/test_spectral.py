@@ -217,10 +217,33 @@ def test_an_entry_at_the_overflow_bound_is_accepted():
     assert basis.lambdas.tolist() == [-_HALF_MAX, _HALF_MAX]
 
 
+@pytest.mark.filterwarnings("error")
+def test_rejects_an_eigenvalue_beyond_binary64():
+    """Every entry is below the symmetrization bound, yet the top eigenvalue,
+    3 * 8e307, is not a binary64 number: an input error, not an inf among the
+    eigenvalues or an overflow warning."""
+    with pytest.raises(InvalidMatrixError, match="eigenvalue beyond the binary64 range"):
+        eig_symmetric(np.full((3, 3), 8e307))
+    # Two such entries have the top eigenvalue 1.6e308, and tiny entries a scale whose
+    # bound, the largest float over the scale, is inf: both pass without a warning.
+    assert eig_symmetric(np.full((2, 2), 8e307)).lambdas[-1] == pytest.approx(1.6e308, rel=1e-15)
+    assert eig_symmetric(np.full((3, 3), 1e-300)).lambdas[-1] == pytest.approx(3e-300, rel=1e-15)
+
+
 @pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0, -1.0, -np.inf])
 def test_heat_kernel_rejects_a_tau_not_positive_and_finite(p8_basis, tau):
     with pytest.raises(DomainError, match="tau must be positive and finite"):
         heat_kernel_weights(p8_basis, tau)
+
+
+def test_heat_kernel_names_a_tau_whose_weights_underflow(p8_basis):
+    """exp(-lambda_7 tau) underflows to 0 on P8 at tau = 200 (lambda_7 = 3.848),
+    which is named, with tau, rather than reported as a weight not positive."""
+    top = float(p8_basis.lambdas[-1])
+    with pytest.raises(DomainError, match=re.escape(f"tau = 200.0 underflows exp(-lambda tau) "
+                                                    f"to 0 at the largest eigenvalue lambda = {top!r}")):
+        heat_kernel_weights(p8_basis, 200.0)
+    assert heat_kernel_weights(p8_basis, 150.0).h.min() > 0
 
 
 def test_materialize_identity(p8_basis):
