@@ -88,10 +88,9 @@ class FixedPointReport:
     residual_inf is max|R - T| at h_star, and converged is residual_inf < tol.
     iterations counts evaluations of T, one per Picard or Newton step, and
     h_star is the last iterate, whichever step made it. contraction_ratio is
-    Picard's local rate at h_star: the spectral radius of diag(h) J, h =
-    h_star, which is similar to J diag(h), the Jacobian of the map in
-    u = ln(h / h0) up to sign, and to the symmetric diag(h)^1/2 J diag(h)^1/2.
-    It depends on h_star alone, not on the iterates.
+    Picard's local rate at h_star: the spectral radius of diag(h) J, h = h_star,
+    similar to J diag(h), the map's Jacobian in u = ln(h / h0) up to sign, and
+    to scaled_jacobian's M. It depends on h_star alone, not on the iterates.
     """
 
     h_star: SpectralKernel
@@ -118,22 +117,23 @@ def mode_weights(spec: SourceSpec, basis: EigenBasis) -> np.ndarray:
 
 
 def build_coupling(basis: EigenBasis) -> np.ndarray:
-    """Inter-mode coupling matrix from the weighted adjacency A = diag(diag(L)) - L
-    of the Laplacian L the basis keeps, over basis.scale.
+    """Inter-mode coupling matrix: the degree field of the kept Laplacian in the eigenbasis.
 
-    B = |Phi^T A Phi| made symmetric bit for bit as (B + B^T) / 2, diagonal
-    zeroed; a row with off-diagonal mass at most 1e-14 (relative to the
-    heaviest edge, by the scale) is zeroed with its column. C is that over
-    its Perron root, its largest eigenvalue, so rho(C) = 1 unless C is 0.
-    The absolute value keeps entries nonnegative as entropy weights; the
-    symmetry makes eta C h the gradient of (eta / 2) h^T C h.
+    Off the diagonal Phi^T A Phi = Phi^T D Phi - Lambda, A = D - L, so with the
+    degrees D of L / basis.scale, B = |Phi^T (D - d_min I) Phi| is the adjacency's
+    coupling with no adjacency built, and exactly 0 on a regular graph. B is made
+    symmetric bit for bit as (B + B^T) / 2, diagonal zeroed; a row with off-diagonal
+    mass at most 1e-14 (relative to the heaviest edge, by the scale) is zeroed with
+    its column. C is that over its Perron root, its largest eigenvalue, so
+    rho(C) = 1 unless C is 0. The absolute value keeps entries nonnegative as
+    entropy weights; the symmetry makes eta C h the gradient of (eta / 2) h^T C h.
 
     Raises:
         NumericalError: the Jacobi sweep behind basis.vectors failed.
     """
-    lap = basis.matrix / basis.scale
+    deg = np.diag(basis.matrix) / basis.scale
     phi = basis.vectors
-    b = np.abs(phi.T @ (np.diag(np.diag(lap)) - lap) @ phi)
+    b = np.abs(phi.T @ ((deg - deg.min())[:, None] * phi))
     c = (b + b.T) / 2.0
     np.fill_diagonal(c, 0.0)
     empty = c.sum(axis=1) <= 1e-14
@@ -187,6 +187,13 @@ def source_jacobian(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.nd
     if spec.coupling is not None:
         jac = jac + spec.eta * spec.coupling
     return jac
+
+
+def scaled_jacobian(spec: SourceSpec, basis: EigenBasis, h: np.ndarray) -> np.ndarray:
+    """M = S J S, S = diag(sqrt h): symmetric, similar to diag(h) J, and I + M = -S H S
+    for the Hessian H at h. Raises as source_jacobian does."""
+    root_h = np.sqrt(h)
+    return np.outer(root_h, root_h) * source_jacobian(spec, basis, h)
 
 
 def geometric_R(kernel: SpectralKernel) -> np.ndarray:
@@ -269,11 +276,9 @@ def solve_fixed_point(
         u, h = u_next, h0 * np.exp(u_next)
         if not h.min() > 0:  # h0 was checked at entry: exp(u) underflowed to 0, or h is NaN
             raise DomainError("spectral weights must be strictly positive")
-    if spec.coupling is None:  # diag(h) J is diagonal; see FixedPointReport
-        eigs = h * _mi_slopes(spec, basis, h)
-    else:
-        root_h = np.sqrt(h)
-        eigs = np.linalg.eigvalsh(np.outer(root_h, root_h) * source_jacobian(spec, basis, h))
+    # Uncoupled, diag(h) J is diagonal; see FixedPointReport.
+    eigs = (h * _mi_slopes(spec, basis, h) if spec.coupling is None
+            else np.linalg.eigvalsh(scaled_jacobian(spec, basis, h)))
     return FixedPointReport(
         h_star=SpectralKernel(h, h0),
         iterations=iterations,

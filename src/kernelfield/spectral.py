@@ -1,22 +1,20 @@
 """Dense symmetric eigendecomposition and spectral kernel primitives.
 
 Every eigenvalue comes from LAPACK (numpy.linalg.eigvalsh), since every
-matrix kernelfield decomposes is symmetric: the Laplacian spectrum here,
-the coupling's Perron root and the coupled contraction rate in field, and a
-coupled Hessian's spectrum in stability (an uncoupled one is diagonal: its
-spectrum is its sorted diagonal). eig_symmetric is the one basis
-constructor. It computes the eigenvalues at once and the eigenvector
-columns on the first read of EigenBasis.vectors, since the uncoupled field
-equation, its Hessian and the spectral entropy depend on the eigenvalues
-alone. The columns come from a cyclic Jacobi sweep (see _jacobi):
+matrix kernelfield decomposes is symmetric: the Laplacian here; in field
+the coupling's Perron root and the coupled rate; in stability a coupled
+Hessian, I + M and its inverse (an uncoupled Hessian is diagonal).
+eig_symmetric is the one basis constructor. It computes the eigenvalues at
+once, and the eigenvector columns from a cyclic Jacobi sweep (see _jacobi)
+on the first read of EigenBasis.vectors: the uncoupled field equation, its
+Hessian and the spectral entropy read the eigenvalues alone. The sweep is
 deterministic, bit-identical to the textbook loop, and accurate well past
-the 1e-9 residual budget at the matrix sizes used here. The Jacobi stays
-because the coupled outputs read the eigenvectors, which are not unique
-where an eigenvalue repeats: until the basis is made canonical on such
-subspaces, another solver would change those numbers. Its NumericalError
-therefore comes from reading vectors. An eigenvector's sign is not fixed
-here; every reader but eigenbasis.csv is invariant under flipping a
-column, and that file applies its own sign convention.
+the 1e-9 residual budget here. It stays because the coupled outputs read
+the eigenvectors, which are not unique where an eigenvalue repeats, so
+another solver would change those numbers; its NumericalError comes from
+reading vectors. An eigenvector's sign is not fixed here; every reader but
+eigenbasis.csv is invariant under flipping a column, and that file applies
+its own sign convention.
 
 The absolute tolerances here (the bottom-eigenvalue clamp and the Jacobi's
 stop) and build_coupling's empty-row test act on the kept matrix divided by
@@ -278,12 +276,16 @@ def heat_kernel_weights(basis: EigenBasis, tau: float) -> SpectralKernel:
     """Heat-kernel transfer function h_l = exp(-lambda_l * tau), reference all-ones.
 
     Raises:
-        DomainError: tau is not positive and finite, or underflows a weight to 0.
+        DomainError: tau is not positive and finite, or over- or underflows a weight.
     """
     if not 0 < tau < math.inf:
         raise DomainError(f"tau must be positive and finite, got {tau}")
-    h = np.exp(-basis.lambdas * tau)
-    if not h[-1] > 0:  # the lambdas ascend, so the last weight is the least
+    with np.errstate(over="ignore"):  # raised below as a DomainError
+        h = np.exp(-basis.lambdas * tau)
+    if not h[0] < math.inf:  # the lambdas ascend, so the first weight is the largest
+        raise DomainError(f"tau = {tau!r} overflows exp(-lambda tau) at the smallest "
+                          f"eigenvalue lambda = {float(basis.lambdas[0])!r}")
+    if not h[-1] > 0:  # and the last weight is the least
         raise DomainError(f"tau = {tau!r} underflows exp(-lambda tau) to 0 at the largest "
                           f"eigenvalue lambda = {float(basis.lambdas[-1])!r}")
     return SpectralKernel(h, np.ones(basis.n))

@@ -3,12 +3,13 @@ and the inter-mode coupling entropy.
 
 The Hessian H_lm = -delta_lm / h_l - J_lm is the second derivative of the
 functional whose gradient is R - T. J is diagonal plus eta*C, and
-SourceSpec holds C symmetric, so H is symmetric bit for bit; its spectrum
-gives the definiteness verdict and the gap Delta. With no coupling H is
-diagonal (the paper's Hessian corollary: stability is judged mode by mode),
-so its spectrum is its sorted diagonal, bit for bit what LAPACK returns. A
-coupled H takes numpy.linalg.eigvalsh, without spectral's bottom-eigenvalue
-clamp, which is a Laplacian convention. The Fiedler-mode gap Delta' uses
+SourceSpec holds C symmetric, so H is symmetric bit for bit. With no
+coupling H is diagonal (the paper's Hessian corollary: stability is judged
+mode by mode), so its spectrum, verdict and gap Delta come from its sorted
+diagonal, bit for bit what LAPACK returns. A coupled H is graded where h
+spans decades, so its verdict and gap come from the well-scaled I + M (see
+stability_report), its spectrum from numpy.linalg.eigvalsh without
+spectral's bottom-eigenvalue clamp, a Laplacian convention. Delta' uses
 the raw diagonal entries over the nonzero modes. Which modes are zero is
 structural, not a tolerance: a Laplacian has one zero mode per connected
 component (EigenBasis.components).
@@ -23,7 +24,7 @@ import numpy as np
 
 from .diagnostics import shannon
 from .errors import DomainError
-from .field import SourceSpec, source_jacobian
+from .field import SourceSpec, scaled_jacobian, source_jacobian
 from .spectral import EigenBasis, SpectralKernel
 
 
@@ -31,8 +32,9 @@ from .spectral import EigenBasis, SpectralKernel
 class StabilityReport:
     """Full stability diagnostics at one kernel.
 
-    `eigenvalues` are those of the symmetric Hessian, ascending. The JSON
-    key `symmetrized`, always true, stays for the artifact format.
+    `eigenvalues` are those of the symmetric Hessian, ascending; a coupled H's
+    only to about eps * max|H| in absolute terms (LAPACK's). The JSON key
+    `symmetrized`, always true, stays for the artifact format.
     """
 
     hessian: np.ndarray
@@ -89,12 +91,12 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
     """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
 
-    One Jacobian, and one symmetric eigenvalue solve when the source is
-    coupled (uncoupled, the spectrum is H's sorted diagonal): the margins are
-    J_ll + 1/h_l = -H_ll (positive means the mode is diagonally stable),
-    the gap Delta is -max eig H, and the coupling entropy is read off
-    H because off the diagonal |H_lm| = |J_lm|. Delta' skips the first
-    basis.components modes, the Laplacian's zero modes.
+    One Jacobian. Uncoupled, the spectrum is H's sorted diagonal. Coupled, H is
+    stable exactly when I + M = -S H S (field.scaled_jacobian) is positive definite
+    (Sylvester's law of inertia), and then Delta = 1 / max eig S (I + M)^-1 S, as
+    (-H)^-1 = S (I + M)^-1 S; else -max eig H. The margins are -H_ll = J_ll + 1/h_l,
+    and the coupling entropy is read off H, since off the diagonal |H_lm| = |J_lm|.
+    Delta' skips the first basis.components modes, the Laplacian's zero modes.
 
     Raises:
         DomainError: every mode is a zero mode (a graph with no edge), so
@@ -103,6 +105,13 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
     hess = hessian(spec, basis, kernel)
     diag = np.diag(hess)
     eigs = np.sort(diag) if spec.coupling is None else np.linalg.eigvalsh(hess)
+    stable, gap = bool(eigs[-1] < 0), float(-eigs[-1])
+    if spec.coupling is not None:  # judge the well-scaled I + M = -S H S instead
+        i_plus_m = np.eye(basis.n) + scaled_jacobian(spec, basis, kernel.h)
+        stable = bool(np.linalg.eigvalsh(i_plus_m)[0] > 0)
+        if stable:
+            root_h = np.sqrt(kernel.h)[:, None]
+            gap = float(1.0 / np.linalg.eigvalsh(root_h * np.linalg.inv(i_plus_m) * root_h.T)[-1])
     margins = -diag
     nonzero_margins = margins[basis.components:]
     if not nonzero_margins.size:
@@ -112,8 +121,8 @@ def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel
         hessian=hess,
         eigenvalues=eigs,
         margins=margins,
-        hessian_gap=float(-eigs[-1]),
+        hessian_gap=gap,
         fiedler_gap=float(nonzero_margins.min()),
         coupling_entropy=_offdiag_row_entropy(hess),
-        stable=bool(eigs[-1] < 0),
+        stable=stable,
     )

@@ -70,3 +70,18 @@ def mp_eig_residual():
                              for i in range(n) for j in range(n)))
 
     return residual
+
+
+@pytest.fixture
+def no_numpy_linalg(monkeypatch):
+    """Make every numpy.linalg function raise, so that a test shows its code path makes no
+    LAPACK call: not eigvalsh, nor any eigensolver, inverse, factorisation or solve."""
+
+    def forbid(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return raiser
+
+    for name, value in list(vars(np.linalg).items()):
+        if callable(value) and not name.startswith("_") and not isinstance(value, type):
+            monkeypatch.setattr(np.linalg, name, forbid(name))

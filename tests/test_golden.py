@@ -2,7 +2,7 @@
 
 Booleans, integers and strings match exactly. Floats match to a relative
 1e-12, with an absolute floor of 1e-14 for values near 0 (rounding noise,
-such as an entry of |Phi^T A Phi| that is 0 in exact arithmetic). A
+such as an entry of |Phi^T (D - d_min I) Phi| that is 0 in exact arithmetic). A
 `residual_inf` is checked as below the solve's tol instead: the residual
 at a converged fixed point is rounding noise too (regen_golden.matches).
 See regen_golden.py for the runs and for how to regenerate the table.

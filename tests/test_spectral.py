@@ -246,6 +246,19 @@ def test_heat_kernel_names_a_tau_whose_weights_underflow(p8_basis):
     assert heat_kernel_weights(p8_basis, 150.0).h.min() > 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_heat_kernel_names_a_tau_whose_weights_overflow():
+    """On the negated P8 Laplacian exp(-lambda_0 tau) overflows at tau = 200
+    (lambda_0 = -3.848): a DomainError naming tau and that eigenvalue, raised
+    before numpy warns (a warning fails this test), rather than an inf weight."""
+    basis = eig_symmetric(-laplacian(build_path(8)))
+    least = float(basis.lambdas[0])
+    with pytest.raises(DomainError, match=re.escape(f"tau = 200.0 overflows exp(-lambda tau) at "
+                                                    f"the smallest eigenvalue lambda = {least!r}")):
+        heat_kernel_weights(basis, 200.0)
+    assert np.isfinite(heat_kernel_weights(basis, 150.0).h).all()
+
+
 def test_materialize_identity(p8_basis):
     k = SpectralKernel(np.ones(8), np.ones(8))
     assert np.allclose(materialize_kernel(p8_basis, k), np.eye(8), atol=1e-12)

@@ -183,16 +183,12 @@ def test_diagonal_case_margin_iff_stable(h, sigma2, mu2, rule):
     assert rep.stable == bool(np.all(rep.margins > 0))
 
 
-def test_uncoupled_report_needs_no_eigensolve(p8, monkeypatch):
+def test_uncoupled_report_needs_no_eigensolve(p8, no_numpy_linalg):
     """Corollary "hessian": without coupling H is diagonal, so its sorted
-    diagonal is its spectrum."""
+    diagonal is its spectrum, and the report calls no numpy.linalg function,
+    so none of the coupled branch's LAPACK calls reaches an uncoupled run."""
     spec = SourceSpec(sigma2=1.0, mu2=2.0, weight_rule=WeightRule.EIGENVALUE)
     h = solve_fixed_point(spec, p8, np.ones(8)).h_star
-
-    def no_eigvalsh(mat):
-        raise AssertionError("eigvalsh called on a diagonal Hessian")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     rep = stability_report(spec, p8, h)
     assert rep.stable and rep.eigenvalues[-1] == -rep.hessian_gap
 
@@ -303,6 +299,39 @@ def test_hessian_eigenvalues_match_mpmath(target, eps, mp_eigvalsh, mp_rel_error
     rep = _coupled_row(parse_graph_spec(spec), u, v, eps)
     ref = mp_eigvalsh(rep.hessian)
     assert max(mp_rel_error(x, r) for x, r in zip(rep.eigenvalues, ref)) <= 3e-13
+
+
+# Three coupled solves whose h* spans 18 or more decades (eta 0.05, eigenvalue weights),
+# where H's diagonal runs to -1/min h*, and the two coupled golden solves (uniform weights).
+_GRADED = [("path:8", 30.0), ("trunk:4,3,3", 17.0), ("river:6,1,2,3,2", 18.0)]
+_COUPLED_SOLVES = [("path:8", 2.0, WeightRule.UNIFORM, 0.1), ("trunk:4,3,3", 2.0, WeightRule.UNIFORM, 0.05),
+                   *((graph, mu2, WeightRule.EIGENVALUE, 0.05) for graph, mu2 in _GRADED)]
+
+
+@pytest.mark.parametrize("graph, mu2, rule, eta", _COUPLED_SOLVES)
+def test_a_contracting_coupled_fixed_point_is_stable(graph, mu2, rule, eta):
+    """The rate is rho(M) and -S H S = I + M, so a rate below 1 makes I + M positive
+    definite and H negative definite (Sylvester's law of inertia). Read off
+    eigvalsh(H), the graded cases were called unstable, with gaps of -2.1e9, -90
+    and -397, at rates 0.086 to 0.12."""
+    _, _, report, rep = solve_graph(parse_graph_spec(graph), mu2=mu2, weight_rule=rule, eta=eta)
+    assert report.converged and report.contraction_ratio < 1
+    assert rep.stable and rep.hessian_gap > 0
+
+
+@pytest.mark.parametrize("graph, mu2", _GRADED)
+def test_a_graded_coupled_gap_matches_mpmath(graph, mu2, mp_eigvalsh, mp_rel_error):
+    """hessian_gap against the top eigenvalue of the same binary64 H from 50-digit
+    mpmath.eigsy, and the eigenvalue list to its stated absolute accuracy, N eps max|H|.
+    Measured: the gap to 1.4e-16 relative, about 2.718 on each; the list to at most
+    1.3 eps max|H|, where max|H| is 1/min h*, 2e18 to 3e25."""
+    _, _, report, rep = solve_graph(parse_graph_spec(graph), mu2=mu2,
+                                    weight_rule=WeightRule.EIGENVALUE, eta=0.05)
+    assert report.h_star.h.min() < 1e-18
+    exact = mp_eigvalsh(rep.hessian)
+    assert mp_rel_error(-rep.hessian_gap, exact[-1]) <= 1e-13
+    bound = len(exact) * np.finfo(float).eps * np.abs(rep.hessian).max()
+    assert max(mp_rel_error(x, e) * abs(float(e)) for x, e in zip(rep.eigenvalues, exact)) <= bound
 
 
 @pytest.mark.parametrize("rule", list(WeightRule))
