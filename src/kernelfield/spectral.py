@@ -16,8 +16,15 @@ reading vectors. An eigenvector's sign is not fixed here; every reader but
 eigenbasis.csv is invariant under flipping a column, and that file applies
 its own sign convention.
 
-The absolute tolerances here (the bottom-eigenvalue clamp and the Jacobi's
-stop) and build_coupling's empty-row test act on the kept matrix divided by
+The input must be exactly symmetric (np.array_equal, as SourceSpec demands
+of C): the basis keeps a read-only copy, never symmetrized, and counts the
+components of its off-diagonal nonzero pattern once. A Laplacian's zero
+modes are its components (Fiedler 1973), so each of the first `components`
+eigenvalues in the zero-mode band, 1e-10 * scale of 0, is set to exactly 0;
+the band guards a general matrix, whose components need not be zero modes.
+
+The absolute tolerances here (the zero-mode band and the Jacobi's stop)
+and build_coupling's empty-row test act on the kept matrix divided by
 EigenBasis.scale, for a Laplacian the largest power of two not above the
 heaviest edge. The division is exact, so scaling every weight by a power of
 two scales the eigenvalues by it and leaves the eigenvectors bit-identical;
@@ -38,24 +45,23 @@ from .errors import DimensionMismatchError, DomainError, InvalidMatrixError, Num
 _OFFDIAG_TOL = 1e-12
 _MAX_SWEEPS = 100
 _MAX_FLOAT = float(np.finfo(np.float64).max)
-_MAX_ENTRY = _MAX_FLOAT / 2.0  # mat + mat.T and mat - mat.T stay finite
 
 
 @dataclass(frozen=True)
 class EigenBasis:
     """Ascending eigenvalues with orthonormal eigenvectors (column l <-> lambdas[l]).
 
-    Build it with eig_symmetric. vectors and components are computed on
-    their first read from the symmetrized matrix the basis keeps, and cached;
-    vectors from that matrix over scale, components from its own nonzero
-    pattern, which the division could underflow. For a graph Laplacian,
-    components is the multiplicity of the zero eigenvalue, so the zero modes
-    are the first `components` columns.
+    Build it with eig_symmetric, which keeps the checked matrix and counts the
+    connected components of its own off-diagonal nonzero pattern, which the
+    division by scale could underflow. For a graph Laplacian, components is the
+    multiplicity of the zero eigenvalue, so the zero modes are the first
+    `components` columns. vectors is computed on its first read and cached.
     """
 
     lambdas: np.ndarray
     matrix: np.ndarray = field(repr=False, compare=False)
     scale: float = field(compare=False)
+    components: int = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -72,27 +78,6 @@ class EigenBasis:
         vec = vec[:, np.argsort(jacobi_lam, kind="stable")]
         vec.setflags(write=False)
         return vec
-
-    @cached_property
-    def components(self) -> int:
-        """Connected components of the kept matrix's off-diagonal nonzero pattern, by BFS."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in zip(*(idx.tolist() for idx in np.nonzero(self.matrix))):
-            adj[u].append(v)  # a diagonal entry is a self-loop, which the search skips
-        seen = [False] * self.n
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = True
-            stack = [start]
-            while stack:
-                for v in adj[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-        return count
 
 
 def check_positive(h: np.ndarray):
@@ -201,19 +186,26 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w.diagonal().copy(), w[:, n:].T.copy()
 
 
-def _symmetrized(mat) -> np.ndarray:
-    """(mat + mat^T) / 2 of a checked real non-empty square matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-        raise InvalidMatrixError(f"expected a non-empty square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise InvalidMatrixError("matrix has a non-finite entry")
-    if np.abs(mat).max() > _MAX_ENTRY:
-        raise InvalidMatrixError(f"matrix has an entry of magnitude above {_MAX_ENTRY!r}, "
-                                 f"half the largest float, where symmetrizing overflows")
-    if np.abs(mat - mat.T).max() > 1e-9:
-        raise InvalidMatrixError("matrix is not symmetric")
-    return (mat + mat.T) / 2.0
+def _components(mat: np.ndarray) -> int:
+    """Connected components of mat's off-diagonal nonzero pattern, by BFS."""
+    n = mat.shape[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(*(idx.tolist() for idx in np.nonzero(mat))):
+        adj[u].append(v)  # a diagonal entry is a self-loop, which the search skips
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+    return count
 
 
 def _scale(sym: np.ndarray) -> float:
@@ -227,12 +219,12 @@ def _scale(sym: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0 else 1.0
 
 
-def _eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
-    """scale times LAPACK's ascending eigenvalues of sym / scale, read-only; a bottom
-    one in [-1e-10, 1e-10] is set to 0, and one beyond binary64 is an InvalidMatrixError."""
+def _eigenvalues(sym: np.ndarray, scale: float, components: int) -> np.ndarray:
+    """scale times LAPACK's ascending eigenvalues of sym / scale, read-only; each of the first
+    `components` in [-1e-10, 1e-10] is set to 0, one beyond binary64 is an InvalidMatrixError."""
     lam = np.linalg.eigvalsh(sym / scale)
-    if abs(lam[0]) < 1e-10:
-        lam[0] = 0.0
+    zero_modes = lam[:components]
+    zero_modes[np.abs(zero_modes) < 1e-10] = 0.0
     if not np.abs(lam).max() <= _MAX_FLOAT / scale:  # exact, or inf: scale is a power of 2
         raise InvalidMatrixError("matrix has an eigenvalue beyond the binary64 range")
     lam *= scale
@@ -241,23 +233,30 @@ def _eigenvalues(sym: np.ndarray, scale: float) -> np.ndarray:
 
 
 def eig_symmetric(mat: np.ndarray) -> EigenBasis:
-    """Eigendecompose a symmetric matrix into an ascending basis.
+    """Eigendecompose an exactly symmetric matrix into an ascending basis.
 
-    The eigenvalues come from LAPACK on the matrix over its scale (see
-    EigenBasis), and an eigenvalue at the bottom of the spectrum within
-    1e-10 * scale of 0 is clamped to exactly 0 so eigenvalue-derived mode
+    The basis keeps a read-only copy of mat and its component count (see
+    EigenBasis). The eigenvalues come from LAPACK on the matrix over its
+    scale, and each of the first `components` within 1e-10 * scale of 0,
+    a Laplacian's zero modes, is set to exactly 0 so eigenvalue-derived mode
     weights stay sign-clean. The eigenvector columns come from the cyclic
     Jacobi sweep when vectors is first read, so that read may raise the
     sweep's NumericalError.
 
     Raises:
-        InvalidMatrixError: not square, empty, a non-finite entry, an entry above half
-            the largest float, asymmetry above 1e-9, or an eigenvalue beyond binary64.
+        InvalidMatrixError: not square, empty, a non-finite entry, not exactly
+            symmetric, or an eigenvalue beyond binary64.
     """
-    sym = _symmetrized(mat)
+    sym = np.array(mat, dtype=float)  # a copy, so the caller's array stays writable
+    if sym.ndim != 2 or sym.shape[0] != sym.shape[1] or sym.size == 0:
+        raise InvalidMatrixError(f"expected a non-empty square matrix, got shape {sym.shape}")
+    if not np.isfinite(sym).all():
+        raise InvalidMatrixError("matrix has a non-finite entry")
+    if not np.array_equal(sym, sym.T):
+        raise InvalidMatrixError("matrix is not symmetric")
     sym.setflags(write=False)
-    scale = _scale(sym)
-    return EigenBasis(_eigenvalues(sym, scale), sym, scale)
+    scale, components = _scale(sym), _components(sym)
+    return EigenBasis(_eigenvalues(sym, scale, components), sym, scale, components)
 
 
 def materialize_kernel(basis: EigenBasis, kernel: SpectralKernel) -> np.ndarray:

@@ -9,7 +9,7 @@ mode by mode), so its spectrum, verdict and gap Delta come from its sorted
 diagonal, bit for bit what LAPACK returns. A coupled H is graded where h
 spans decades, so its verdict and gap come from the well-scaled I + M (see
 stability_report), its spectrum from numpy.linalg.eigvalsh without
-spectral's bottom-eigenvalue clamp, a Laplacian convention. Delta' uses
+spectral's zero-mode band, a Laplacian convention. Delta' uses
 the raw diagonal entries over the nonzero modes. Which modes are zero is
 structural, not a tolerance: a Laplacian has one zero mode per connected
 component (EigenBasis.components).
@@ -91,11 +91,11 @@ def _offdiag_row_entropy(mat: np.ndarray) -> float:
 def stability_report(spec: SourceSpec, basis: EigenBasis, kernel: SpectralKernel) -> StabilityReport:
     """Assemble Hessian, eigenvalues, margins, gaps, and coupling entropy.
 
-    One Jacobian. Uncoupled, the spectrum is H's sorted diagonal. Coupled, H is
-    stable exactly when I + M = -S H S (field.scaled_jacobian) is positive definite
-    (Sylvester's law of inertia), and then Delta = 1 / max eig S (I + M)^-1 S, as
-    (-H)^-1 = S (I + M)^-1 S; else -max eig H. The margins are -H_ll = J_ll + 1/h_l,
-    and the coupling entropy is read off H, since off the diagonal |H_lm| = |J_lm|.
+    Uncoupled, J is built once and the spectrum is H's sorted diagonal. Coupled,
+    field.scaled_jacobian builds J again to form I + M = -S H S, and H is stable exactly
+    when I + M is positive definite (Sylvester's law of inertia); then Delta = 1 / max eig
+    S (I + M)^-1 S, as (-H)^-1 = S (I + M)^-1 S; else -max eig H. The margins are -H_ll =
+    J_ll + 1/h_l, and the coupling entropy is read off H, since off the diagonal |H_lm| = |J_lm|.
     Delta' skips the first basis.components modes, the Laplacian's zero modes.
 
     Raises:

@@ -406,6 +406,17 @@ def test_solve_warns_on_a_disconnected_graph(tmp_path, capsys):
     assert "connected=False" in captured.out and captured.err == ""
 
 
+def test_graph_prints_every_zero_mode_of_a_disconnected_graph(tmp_path, capsys):
+    """path:8 without edge (2, 3) has two components, so its zero eigenvalue is
+    2-fold, and both zeros print as 0, not one of them as rounding noise."""
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(json.dumps({"n": 8, "edges": [[u, u + 1, 1.0] for u in range(7) if u != 2]}))
+    assert main(["graph", str(graph_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n=8 edges=6 connected=False"
+    assert lines[1].startswith("eigenvalues: 0 0 0.381966 1 ")
+
+
 # reproduce all: exp6b's 5 coupled rows, exp7's 10, and exp3's isometry on trunk.
 @pytest.mark.parametrize("argv, calls", [
     (["reproduce", "all", "--out", "{out}"], 16),

@@ -19,9 +19,16 @@
    inputs, so it would break the Jacobi's bit-identity with its textbook
    reference.
 6. No module calls np.linalg.eig or np.linalg.eigvals: every matrix the
-   package decomposes (a Laplacian, the coupling matrix, a stability
-   Hessian, the symmetrized Jacobian of the fixed-point map) is symmetric,
-   so np.linalg.eigvalsh applies.
+   package decomposes (a Laplacian, the coupling matrix, a coupled stability
+   Hessian, the scaled Jacobian M = S J S of the fixed-point map, I + M and
+   S (I + M)^-1 S) is symmetric, so np.linalg.eigvalsh applies.
+7. No module tests symmetry with a tolerance, so no x - x.T (or x.T - x)
+   appears: a matrix is symmetric when np.array_equal(x, x.T), the rule
+   SourceSpec applies to C and eig_symmetric to its input.
+
+The test suite keeps one rule of its own: every hypothesis @settings(...)
+under tests/ sets derandomize=True, so the tier-1 counts do not move by
+chance from one run to the next.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ SRC = pathlib.Path(kernelfield.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 BENCH = {path.stem: ast.parse(path.read_text(), str(path))
          for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
+TESTS = {path.stem: ast.parse(path.read_text(), str(path))
+         for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
 
 _OS_WRITES = {"replace", "rename", "makedirs", "mkdir", "remove", "unlink", "rmdir"}
 _NP_REDUCTIONS = {"any", "all", "max", "min", "sum"}
@@ -95,6 +104,24 @@ def _calls(name: str, tree: ast.Module, module: str, attrs: set[str]) -> list[st
     return [f"{name}:{node.lineno} {module}.{node.func.attr}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and _dotted(node.func.value) == module and node.func.attr in attrs]
+
+
+def _transpose_differences(name: str, tree: ast.Module) -> list[str]:
+    """x - x.T and x.T - x in module name, as "name:line"."""
+    def transposes(a: ast.AST, b: ast.AST) -> bool:
+        return isinstance(b, ast.Attribute) and b.attr == "T" and ast.dump(b.value) == ast.dump(a)
+
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and (transposes(node.left, node.right) or transposes(node.right, node.left))]
+
+
+def _random_settings(name: str, tree: ast.Module) -> list[str]:
+    """settings(...) calls in module name without derandomize=True, as "name:line"."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _dotted(node.func) in {"settings", "hypothesis.settings"}
+            and not any(kw.arg == "derandomize" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is True for kw in node.keywords)]
 
 
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -163,6 +190,14 @@ def test_no_module_calls_a_general_eigensolver():
             for call in _calls(name, tree, "np.linalg", _GENERAL_EIGENSOLVERS)] == []
 
 
+def test_no_module_tests_symmetry_with_a_tolerance():
+    assert [diff for name, tree in MODULES.items() for diff in _transpose_differences(name, tree)] == []
+
+
+def test_every_hypothesis_settings_is_derandomized():
+    assert [call for name, tree in TESTS.items() for call in _random_settings(name, tree)] == []
+
+
 def test_the_rules_see_what_they_forbid():
     tree = ast.parse("from .experiments import _write_atomic\n"
                      "def save(p):\n    with open(p, 'w') as fh:\n        os.makedirs(p)\n"
@@ -182,6 +217,15 @@ def test_the_rules_see_what_they_forbid():
                      "d = np.linalg.eigh(m)\ne = linalg.eigvals(m)\n")
     assert _calls("m", tree, "np.linalg", _GENERAL_EIGENSOLVERS) == ["m:1 np.linalg.eig",
                                                                    "m:3 np.linalg.eigvals"]
+    # A difference of a matrix and its own transpose, either way round; not of another's.
+    tree = ast.parse("a = np.abs(mat - mat.T).max()\nb = s.c.T - s.c\nc = mat - other.T\n"
+                     "d = mat + mat.T\ne = np.array_equal(mat, mat.T)\n")
+    assert sorted(_transpose_differences("m", tree)) == ["m:1", "m:2"]
+    # settings without derandomize, or with it not True, draws at random.
+    tree = ast.parse("@settings(max_examples=5, derandomize=True)\ndef f(): pass\n"
+                     "@settings(max_examples=5)\ndef g(): pass\n"
+                     "@hypothesis.settings(derandomize=False)\ndef h(): pass\n")
+    assert _random_settings("m", tree) == ["m:3", "m:5"]
     # recurse only calls itself, and __init__'s export of orphan is not a use.
     modules = {"m": ast.parse("def recurse(n):\n    return recurse(n - 1)\n"
                               "def orphan():\n    pass\n"

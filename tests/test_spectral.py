@@ -199,17 +199,21 @@ def test_rejects_an_empty_matrix():
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
-@pytest.mark.parametrize("mat", [
-    [[1e308, -1e308], [-1e308, 1e308]],  # mat + mat.T overflows
-    [[0.0, 9e307], [-9e307, 0.0]],  # mat - mat.T overflows
-    [[np.nextafter(_HALF_MAX, np.inf)]],  # the smallest entry above the bound
-])
-def test_rejects_entries_whose_symmetrization_overflows(mat):
-    """Each matrix is finite, and without the magnitude check symmetrizing it
-    overflows with a RuntimeWarning (an error under the test suite's filter);
-    the message names the bound."""
-    with pytest.raises(InvalidMatrixError, match=re.escape(repr(_HALF_MAX))):
-        eig_symmetric(np.array(mat))
+@pytest.mark.parametrize("mat, error", [
+    ([[1e308, -1e308], [-1e308, 1e308]], "eigenvalue beyond the binary64 range"),  # 2e308
+    ([[0.0, 9e307], [-9e307, 0.0]], "not symmetric"),
+    ([[np.nextafter(_HALF_MAX, np.inf)]], None),
+], ids=["eigenvalue-overflows", "asymmetric", "accepted"])
+def test_entries_above_half_the_largest_float(mat, error):
+    """The basis never forms mat + mat.T or mat - mat.T, so an entry above half the
+    largest float is no error of its own: the range check rejects an eigenvalue past
+    binary64, the exact check an asymmetric matrix, and a 1 x 1 matrix is its own
+    eigenvalue. None warns (a RuntimeWarning is an error under the suite's filter)."""
+    if error is None:
+        assert eig_symmetric(np.array(mat)).lambdas.tolist() == mat[0]
+    else:
+        with pytest.raises(InvalidMatrixError, match=error):
+            eig_symmetric(np.array(mat))
 
 
 def test_an_entry_at_the_overflow_bound_is_accepted():
@@ -217,9 +221,69 @@ def test_an_entry_at_the_overflow_bound_is_accepted():
     assert basis.lambdas.tolist() == [-_HALF_MAX, _HALF_MAX]
 
 
+def test_an_entry_above_half_the_largest_float_is_accepted():
+    """Its eigenvalues fit in binary64. The scale is 2^971, so the eigenvalue 1 lies
+    in the zero-mode band, 1e-10 * scale, of a matrix with two components: it is
+    far below LAPACK's absolute accuracy, eps * max|entry|, on such a matrix."""
+    top = np.nextafter(_HALF_MAX, np.inf)
+    basis = eig_symmetric(np.diag([top, 1.0]))
+    assert basis.scale == 2.0**971
+    assert basis.lambdas.tolist() == [0.0, top]
+
+
+def test_rejects_a_matrix_asymmetric_in_one_ulp():
+    """Symmetry is exact, the rule SourceSpec applies to C: the basis does not
+    symmetrize a matrix that is off by one ulp."""
+    mat = laplacian(build_path(3))
+    mat[0, 1] = np.nextafter(mat[0, 1], 0.0)
+    with pytest.raises(InvalidMatrixError, match="not symmetric"):
+        eig_symmetric(mat)
+
+
+def test_the_basis_keeps_a_read_only_copy_of_its_matrix():
+    lap = laplacian(parse_graph_spec("path:8:weaken=2,3,0.3"))
+    basis = eig_symmetric(lap)
+    assert lap.flags.writeable and not basis.matrix.flags.writeable
+    assert not np.shares_memory(lap, basis.matrix)
+    assert np.array_equal(basis.matrix.view(np.int64), lap.view(np.int64))
+
+
+def _without(g, *cut):
+    return Graph(g.n, tuple(e for e in g.edges if e[:2] not in cut))
+
+
+# Disconnected graphs: two paths, three paths, and a path beside an isolated node.
+_SPLIT_GRAPHS = {
+    "path8-cut": (_without(build_path(8), (2, 3)), 2),
+    "path12-cut-twice": (_without(build_path(12), (3, 4), (7, 8)), 3),
+    "path5-and-a-node": (Graph(6, build_path(5).edges), 2),
+}
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
+@pytest.mark.parametrize("name", _SPLIT_GRAPHS)
+def test_each_component_is_an_exact_zero_mode(name, factor):
+    """A Laplacian has one zero eigenvalue per connected component (Fiedler 1973):
+    every one of them is exactly 0, at any power-of-two scale of the weights, and
+    the next eigenvalue is positive."""
+    g, components = _SPLIT_GRAPHS[name]
+    basis = eig_symmetric(laplacian(Graph(g.n, tuple((u, v, w * factor) for u, v, w in g.edges))))
+    assert basis.components == components
+    assert basis.lambdas[:components].tolist() == [0.0] * components
+    assert basis.lambdas[components] > 0
+
+
+def test_a_general_matrix_keeps_its_eigenvalues_beyond_the_zero_mode_band():
+    """A diagonal matrix has one component per row, but only a Laplacian's
+    components are zero modes: the band leaves these eigenvalues alone."""
+    basis = eig_symmetric(np.diag([1.0, 2.0, 3.0]))
+    assert basis.components == 3
+    assert basis.lambdas.tolist() == [1.0, 2.0, 3.0]
+
+
 @pytest.mark.filterwarnings("error")
 def test_rejects_an_eigenvalue_beyond_binary64():
-    """Every entry is below the symmetrization bound, yet the top eigenvalue,
+    """Every entry is finite, yet the top eigenvalue,
     3 * 8e307, is not a binary64 number: an input error, not an inf among the
     eigenvalues or an overflow warning."""
     with pytest.raises(InvalidMatrixError, match="eigenvalue beyond the binary64 range"):
